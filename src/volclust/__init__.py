@@ -17,13 +17,12 @@ from .dvc import (
     DvcResult,
     PipelineError,
     analyze,
-    conditional_abs_mean,
     conditional_distribution,
     dvc_profile,
     fit_dvc,
 )
 from .ingest import PriceSeries, ReturnSeries, compute_returns, load_prices, standardize
-from .symbolize import BinningScheme, SymbolicSeries, build_bins, symbol_value, symbolize
+from .symbolize import BinningScheme, SymbolicSeries, build_bins, symbolize
 
 __version__ = "0.1.0"
 
@@ -41,13 +40,11 @@ __all__ = [
     "analyze",
     "build_bins",
     "compute_returns",
-    "conditional_abs_mean",
     "conditional_distribution",
     "dvc_profile",
     "fit_dvc",
     "load_prices",
     "standardize",
-    "symbol_value",
     "symbolize",
     "__version__",
 ]

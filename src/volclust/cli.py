@@ -86,7 +86,7 @@ _CONFIG_KEYS = {
     "min_count": int,
     "standardize_first": _parse_bool,
 }
-_CONFIG_ALIASES = {"bins": "n_bins", "clip-sigmas": "clip_sigmas", "min-count": "min_count"}
+_CONFIG_ALIASES = {"bins": "n_bins"}
 
 
 def _read_config_file(path: str | Path) -> dict:

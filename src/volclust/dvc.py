@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .ingest import ReturnSeries, standardize
-from .symbolize import BinningScheme, SymbolicSeries, build_bins, symbolize
+from .symbolize import SymbolicSeries, build_bins, symbolize
 
 _PROB_TOL = 1e-12
 
@@ -63,8 +63,9 @@ class AnalysisConfig:
 class ConditionalDistribution:
     """Empirical next-symbol distribution for one conditioning symbol.
 
-    support_count is the number of observed transitions out of the
-    conditioning symbol (occurrences anywhere but the last position).
+    A normalized view of one row of the transition-count matrix:
+    support_count is the row total, the number of observed transitions out
+    of the conditioning symbol (occurrences anywhere but the last position).
     """
 
     conditioning_symbol: int
@@ -174,7 +175,7 @@ def _transition_counts(series: SymbolicSeries) -> np.ndarray:
 def conditional_distribution(
     series: SymbolicSeries, conditioning_symbol: int
 ) -> ConditionalDistribution:
-    """Estimate the distribution of the symbol following ``conditioning_symbol``.
+    """Row ``conditioning_symbol`` of the transition-count matrix, normalized.
 
     Returns an empty distribution (support_count 0) when the symbol never
     occurs before the last position.
@@ -182,23 +183,10 @@ def conditional_distribution(
     k = series.scheme.n_bins
     if not 0 <= conditioning_symbol < k:
         raise ValueError(f"symbol index {conditioning_symbol} out of range [0, {k})")
-    idx = series.indices
-    successors = idx[1:][idx[:-1] == conditioning_symbol]
-    support = len(successors)
-    if support == 0:
-        return ConditionalDistribution(conditioning_symbol, {}, 0)
-    counts = np.bincount(successors, minlength=k)
-    probs = {int(j): counts[j] / support for j in np.nonzero(counts)[0]}
+    row = _transition_counts(series)[conditioning_symbol].tolist()
+    support = sum(row)
+    probs = {j: count / support for j, count in enumerate(row) if count}
     return ConditionalDistribution(conditioning_symbol, probs, support)
-
-
-def conditional_abs_mean(dist: ConditionalDistribution, scheme: BinningScheme) -> float:
-    """Probability-weighted mean of |successor symbol value|."""
-    if dist.support_count == 0:
-        raise ValueError("conditional distribution has empty support")
-    return float(
-        sum(abs(scheme.centers[j]) * p for j, p in dist.probabilities.items())
-    )
 
 
 def dvc_profile(series: SymbolicSeries, min_count: int) -> DvcProfile:

@@ -12,10 +12,8 @@ region by construction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
@@ -88,13 +86,6 @@ class GarchFit:
             "converged": bool(self.converged),
         }
 
-    def write_variances_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "variance"])
-            for i, v in enumerate(self.conditional_variances):
-                writer.writerow([i, repr(float(v))])
-
 
 def simulate(params: GarchParams, n: int, seed: int) -> ReturnSeries:
     """Simulate n returns after discarding a 1000-step burn-in.
@@ -144,16 +135,6 @@ def gaussian_log_likelihood(values: np.ndarray, variances: np.ndarray) -> float:
     if len(r) != len(v):
         raise ValueError("returns and variances have different lengths")
     return float(-0.5 * np.sum(LOG_2PI + np.log(v) + r * r / v))
-
-
-def neg_log_likelihood(params: GarchParams, returns: ReturnSeries) -> float:
-    """Negative Gaussian log-likelihood; raises on non-finite intermediates."""
-    value = -gaussian_log_likelihood(
-        returns.values, variance_path(params, returns.values)
-    )
-    if not math.isfinite(value):
-        raise ValueError("non-finite likelihood (parameters near constraint boundary)")
-    return value
 
 
 def evaluate(params: GarchParams, returns: ReturnSeries, converged: bool = True) -> GarchFit:

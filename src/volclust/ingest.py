@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import IO, Union
 
@@ -19,13 +21,19 @@ import numpy as np
 
 Source = Union[str, Path, bytes, IO[bytes], IO[str]]
 
-_STAT_TOL = 1e-12
-
 
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+class _OrderError(ValueError):
+    """Timestamps fail to increase strictly at ``position`` (0-based row)."""
+
+    def __init__(self, position: int):
+        self.position = position
+        super().__init__(f"timestamps must be strictly increasing (position {position})")
 
 
 @dataclass(frozen=True)
@@ -46,11 +54,9 @@ class PriceSeries:
             raise ValueError("prices must be finite (no NaN or inf)")
         if np.any(self.prices <= 0.0):
             raise ValueError("prices must be strictly positive")
-        for i in range(1, len(self.timestamps)):
-            if not self.timestamps[i - 1] < self.timestamps[i]:
-                raise ValueError(
-                    f"timestamps must be strictly increasing (position {i})"
-                )
+        ts = self.timestamps
+        if not all(map(operator.lt, ts, islice(ts, 1, None))):
+            raise _OrderError(next(i for i in range(1, len(ts)) if not ts[i - 1] < ts[i]))
 
     def __len__(self) -> int:
         return len(self.prices)
@@ -66,51 +72,33 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Log returns with cached sample mean and stdev (n-1 denominator).
+    """Finite log returns with their sample mean and stdev (n-1 denominator).
 
-    The cached statistics must match a recomputation to within 1e-12;
-    construct via :meth:`from_values` unless you have both already.
+    Both statistics are computed once, at construction, from the values.
     """
 
     values: np.ndarray
-    mean: float
-    stdev: float
+    mean: float = field(init=False)
+    stdev: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, float))
-        if len(self.values) < 1:
+        values = _frozen_array(self.values, float)
+        if len(values) < 1:
             raise ValueError("return series must be nonempty")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("returns must be finite")
-        mean, stdev = _sample_stats(self.values)
-        if not math.isclose(self.mean, mean, rel_tol=_STAT_TOL, abs_tol=_STAT_TOL):
-            raise ValueError("cached mean disagrees with recomputed sample mean")
-        if not math.isclose(self.stdev, stdev, rel_tol=_STAT_TOL, abs_tol=_STAT_TOL):
-            raise ValueError("cached stdev disagrees with recomputed sample stdev")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mean", float(np.mean(values)))
+        # stdev of a single observation is defined as 0 (cannot be standardized)
+        stdev = float(np.std(values, ddof=1)) if len(values) >= 2 else 0.0
+        object.__setattr__(self, "stdev", stdev)
 
     @classmethod
     def from_values(cls, values) -> "ReturnSeries":
-        arr = np.asarray(values, dtype=float)
-        mean, stdev = _sample_stats(arr)
-        return cls(values=arr, mean=mean, stdev=stdev)
+        return cls(values=values)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def write_csv(self, path: str | Path) -> None:
-        """Write ``index,return`` CSV with full-precision values."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "return"])
-            for i, value in enumerate(self.values):
-                writer.writerow([i, repr(float(value))])
-
-
-def _sample_stats(values: np.ndarray) -> tuple[float, float]:
-    # stdev of a single observation is defined as 0 (cannot be standardized)
-    mean = float(np.mean(values))
-    stdev = float(np.std(values, ddof=1)) if len(values) >= 2 else 0.0
-    return mean, stdev
 
 
 def _open_text(source: Source) -> io.StringIO:
@@ -167,22 +155,22 @@ def load_prices(source: Source) -> PriceSeries:
     if len(prices) < 2:
         raise ValueError(f"need at least 2 data rows, got {len(prices)}")
 
-    timestamps = _order_keys(raw_ts)
-    for i in range(1, len(timestamps)):
-        if not timestamps[i - 1] < timestamps[i]:
-            raise ValueError(
-                f"line {linenos[i]}: timestamp {raw_ts[i]!r} does not increase "
-                f"after {raw_ts[i - 1]!r}"
-            )
-    return PriceSeries(timestamps=tuple(timestamps), prices=np.array(prices))
+    try:
+        return PriceSeries(timestamps=_order_keys(raw_ts), prices=prices)
+    except _OrderError as exc:
+        i = exc.position
+        raise ValueError(
+            f"line {linenos[i]}: timestamp {raw_ts[i]!r} does not increase "
+            f"after {raw_ts[i - 1]!r}"
+        ) from None
 
 
-def _order_keys(raw: list[str]) -> list:
+def _order_keys(raw: list[str]) -> tuple:
     # integer column -> numeric order; anything else -> lexical order
     try:
-        return [int(ts) for ts in raw]
+        return tuple(map(int, raw))
     except ValueError:
-        return list(raw)
+        return tuple(raw)
 
 
 def compute_returns(prices: PriceSeries) -> ReturnSeries:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -70,13 +69,6 @@ class SymbolicSeries:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def write_csv(self, path: str | Path) -> None:
-        """Write ``index,symbol`` CSV."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("index,symbol\n")
-            for i, sym in enumerate(self.indices):
-                fh.write(f"{i},{int(sym)}\n")
-
 
 def build_bins(returns: ReturnSeries, n_bins: int, clip_sigmas: float) -> BinningScheme:
     """Equal-width bins spanning mean +/- clip_sigmas * stdev of the series.
@@ -113,10 +105,3 @@ def symbolize(returns: ReturnSeries, scheme: BinningScheme) -> SymbolicSeries:
     idx = np.searchsorted(scheme.edges, returns.values, side="right") - 1
     np.clip(idx, 0, scheme.n_bins - 1, out=idx)
     return SymbolicSeries(indices=idx, scheme=scheme)
-
-
-def symbol_value(scheme: BinningScheme, index: int) -> float:
-    """Numeric value of a symbol: its bin midpoint."""
-    if not 0 <= index < scheme.n_bins:
-        raise ValueError(f"symbol index {index} out of range [0, {scheme.n_bins})")
-    return float(scheme.centers[index])

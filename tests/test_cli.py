@@ -101,7 +101,9 @@ def test_analyze_missing_input(tmp_path, capsys):
 def test_analyze_flag_and_config_merge(tmp_path):
     csv_path = _simulate_csv(tmp_path, n=5_000)
     config_file = tmp_path / "run.cfg"
-    config_file.write_text("bins = 21\nmin-count = 50\n# comment\nstandardize_first = true\n")
+    config_file.write_text(
+        "bins = 21\nmin-count = 50\nclip-sigmas = 2.5\n# comment\nstandardize_first = true\n"
+    )
     out = tmp_path / "cfgrun"
     code = main(["analyze", str(csv_path), "--out", str(out),
                  "--config", str(config_file), "--bins", "11"])
@@ -109,6 +111,7 @@ def test_analyze_flag_and_config_merge(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["n_bins"] == 11       # flag wins
     assert manifest["config"]["min_count"] == 50    # file value survives
+    assert manifest["config"]["clip_sigmas"] == 2.5  # hyphenated key maps to the field
     assert manifest["config"]["standardize_first"] is True
     assert manifest["inputs"][0]["path"] == str(csv_path)
     assert len(manifest["inputs"][0]["sha256"]) == 64
@@ -254,3 +257,13 @@ def test_usage_errors_exit_one(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "volclust" in capsys.readouterr().out
+
+
+def test_public_names_resolve():
+    import volclust
+
+    for name in volclust.__all__:
+        assert hasattr(volclust, name), name
+    namespace = {}
+    exec("from volclust import *", namespace)
+    assert set(volclust.__all__) <= set(namespace)

@@ -14,7 +14,6 @@ from volclust.dvc import (
     DvcProfile,
     PipelineError,
     analyze,
-    conditional_abs_mean,
     conditional_distribution,
     dvc_profile,
     fit_dvc,
@@ -25,7 +24,6 @@ from volclust.symbolize import SymbolicSeries, build_bins
 
 UNIT = ReturnSeries.from_values([-1.0, 0.0, 1.0])
 THREE = build_bins(UNIT, n_bins=3, clip_sigmas=3.0)       # centers [-2, 0, 2]
-THREE_UNIT = build_bins(UNIT, n_bins=3, clip_sigmas=1.5)  # centers [-1, 0, 1]
 
 
 def sym(indices, scheme=THREE):
@@ -101,30 +99,6 @@ def test_conditional_distribution_matches_oracle(indices):
         if dist.support_count > 0:
             assert math.isclose(sum(dist.probabilities.values()), 1.0, abs_tol=1e-12)
     assert support_total == len(indices) - 1
-
-
-# --- conditional_abs_mean ---------------------------------------------------
-
-
-def test_conditional_abs_mean_symmetric_pair():
-    dist = ConditionalDistribution(1, {0: 0.5, 2: 0.5}, 10)
-    assert conditional_abs_mean(dist, THREE_UNIT) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_conditional_abs_mean_zero_successor():
-    dist = ConditionalDistribution(1, {1: 1.0}, 10)
-    assert conditional_abs_mean(dist, THREE) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_conditional_abs_mean_weighted():
-    dist = ConditionalDistribution(1, {0: 0.25, 1: 0.5, 2: 0.25}, 10)
-    # centers [-2, 0, 2]: 0.25 * 2 + 0.5 * 0 + 0.25 * 2
-    assert conditional_abs_mean(dist, THREE) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_conditional_abs_mean_empty_error():
-    with pytest.raises(ValueError, match="empty"):
-        conditional_abs_mean(ConditionalDistribution(0, {}, 0), THREE)
 
 
 # --- dvc_profile ------------------------------------------------------------

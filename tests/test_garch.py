@@ -12,7 +12,6 @@ from volclust.garch import (
     filter_returns,
     fit,
     gaussian_log_likelihood,
-    neg_log_likelihood,
     simulate,
     variance_path,
 )
@@ -103,14 +102,14 @@ def test_nll_closed_form_when_constant_variance():
         + n * math.log(sample_var)
         + float(np.sum(series.values**2)) / sample_var
     )
-    assert neg_log_likelihood(params, series) == pytest.approx(closed_form, rel=1e-12)
+    assert -evaluate(params, series).log_likelihood == pytest.approx(closed_form, rel=1e-12)
 
 
 def test_nll_prefers_true_parameters():
     series = simulate(TRUE, 100_000, 11)
-    at_true = neg_log_likelihood(TRUE, series)
+    at_true = -evaluate(TRUE, series).log_likelihood
     doubled = GarchParams(omega=2 * TRUE.omega, alpha=TRUE.alpha, beta=TRUE.beta)
-    assert at_true < neg_log_likelihood(doubled, series)
+    assert at_true < -evaluate(doubled, series).log_likelihood
 
 
 def test_nll_consistent_with_stored_variances():
@@ -118,7 +117,7 @@ def test_nll_consistent_with_stored_variances():
     fitted = fit(series)
     recomputed = gaussian_log_likelihood(series.values, fitted.conditional_variances)
     assert fitted.log_likelihood == pytest.approx(recomputed, abs=1e-8)
-    assert neg_log_likelihood(fitted.params, series) == pytest.approx(
+    assert -evaluate(fitted.params, series).log_likelihood == pytest.approx(
         -fitted.log_likelihood, abs=1e-8
     )
 
@@ -222,14 +221,3 @@ def test_fit_json_schema():
     payload = json.loads(json.dumps(fitted.to_json_dict()))
     assert set(payload) == {"omega", "alpha", "beta", "log_likelihood", "converged"}
     assert payload["omega"] == fitted.params.omega
-
-
-def test_variances_csv_export(tmp_path):
-    series = simulate(TRUE, 1_000, 6)
-    fitted = evaluate(TRUE, series)
-    path = tmp_path / "variances.csv"
-    fitted.write_variances_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,variance"
-    assert len(lines) == 1_001
-    assert float(lines[1].split(",")[1]) == fitted.conditional_variances[0]

@@ -1,5 +1,6 @@
 import io
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -60,6 +61,9 @@ def test_load_rejects_non_increasing_timestamps():
         load_prices(b"timestamp,price\n5,100.0\n5,101.0\n")
     with pytest.raises(ValueError, match="line 4"):
         load_prices(b"timestamp,price\n1,100.0\n2,101.0\n2,102.0\n")
+    # blank rows are skipped but still counted in the reported line number
+    with pytest.raises(ValueError, match="^line 6: timestamp '2' does not increase after '3'$"):
+        load_prices(b"timestamp,price\n1,100.0\n\n3,101.0\n\n2,102.0\n")
 
 
 def test_load_integer_timestamps_ordered_numerically():
@@ -104,6 +108,17 @@ def test_price_series_validation():
         PriceSeries(timestamps=(1, 2), prices=np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="increasing"):
         PriceSeries(timestamps=(2, 1), prices=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"increasing \(position 2\)"):
+        PriceSeries(timestamps=(1, 2, 2), prices=np.ones(3))
+    # integers beyond int64 keep their exact order
+    big = PriceSeries(timestamps=(10**20, 10**20 + 1), prices=np.ones(2))
+    assert big.timestamps == (10**20, 10**20 + 1)
+    with pytest.raises(ValueError, match="increasing"):
+        PriceSeries(timestamps=(10**20 + 1, 10**20), prices=np.ones(2))
+    # strings order lexically, integers numerically
+    with pytest.raises(ValueError, match="increasing"):
+        PriceSeries(timestamps=("9", "10"), prices=np.ones(2))
+    assert PriceSeries(timestamps=(9, 10), prices=np.ones(2)).timestamps == (9, 10)
     with pytest.raises(ValueError, match="at least 2"):
         PriceSeries(timestamps=(1,), prices=np.array([1.0]))
     with pytest.raises(ValueError, match="lengths"):
@@ -137,10 +152,10 @@ def test_return_series_caches_match_recomputation():
     values = np.array([0.1, -0.2, 0.3])
     series = ReturnSeries.from_values(values)
     assert math.isclose(series.mean, sum(values) / 3, abs_tol=1e-15)
-    with pytest.raises(ValueError, match="cached mean"):
-        ReturnSeries(values=values, mean=series.mean + 1e-6, stdev=series.stdev)
-    with pytest.raises(ValueError, match="cached stdev"):
-        ReturnSeries(values=values, mean=series.mean, stdev=series.stdev + 1e-6)
+    assert math.isclose(series.stdev, statistics.stdev(values), abs_tol=1e-15)
+    assert ReturnSeries.from_values([0.5]).stdev == 0.0
+    with pytest.raises(TypeError):
+        ReturnSeries(values=values, mean=series.mean, stdev=series.stdev)
 
 
 def test_return_series_rejects_nonfinite():
@@ -182,16 +197,6 @@ def test_standardize_preserves_affine_order():
 def test_standardize_zero_variance_error():
     with pytest.raises(ValueError, match="zero-variance"):
         standardize(ReturnSeries.from_values([0.5, 0.5, 0.5]))
-
-
-def test_returns_csv_export(tmp_path):
-    series = ReturnSeries.from_values([0.25, -0.125, 1.0 / 3.0])
-    path = tmp_path / "returns.csv"
-    series.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,return"
-    parsed = [float(line.split(",")[1]) for line in lines[1:]]
-    assert np.array_equal(parsed, series.values)
 
 
 @st.composite

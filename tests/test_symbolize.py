@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volclust.ingest import ReturnSeries, standardize
-from volclust.symbolize import BinningScheme, SymbolicSeries, build_bins, symbol_value, symbolize
+from volclust.symbolize import BinningScheme, SymbolicSeries, build_bins, symbolize
 
 # exactly standardized: mean 0, sample stdev 1
 UNIT = ReturnSeries.from_values([-1.0, 0.0, 1.0])
@@ -92,18 +92,6 @@ def test_symbolize_agrees_with_linear_scan_on_uniforms():
     assert sym.indices.tolist() == expected
 
 
-def test_symbol_value_returns_bin_center():
-    three = build_bins(UNIT, n_bins=3, clip_sigmas=3.0)
-    five = build_bins(UNIT, n_bins=5, clip_sigmas=5.0)
-    assert symbol_value(three, 1) == pytest.approx(0.0, abs=1e-12)
-    assert symbol_value(three, 2) == pytest.approx(2.0, abs=1e-12)
-    assert symbol_value(five, 0) == pytest.approx(-4.0, abs=1e-12)
-    with pytest.raises(ValueError, match="out of range"):
-        symbol_value(three, 3)
-    with pytest.raises(ValueError, match="out of range"):
-        symbol_value(three, -1)
-
-
 def test_scheme_validation():
     with pytest.raises(ValueError, match="increasing"):
         BinningScheme(n_bins=3, edges=np.array([0.0, 1.0, 1.0, 2.0]),
@@ -128,14 +116,6 @@ def test_scheme_json_roundtrip():
     assert payload["n_bins"] == 3
     assert payload["edges"] == list(scheme.edges)
     assert payload["centers"] == list(scheme.centers)
-
-
-def test_symbolic_csv_export(tmp_path):
-    scheme = build_bins(UNIT, n_bins=3, clip_sigmas=3.0)
-    sym = symbolize(ReturnSeries.from_values([-2.5, 0.0, 2.5]), scheme)
-    path = tmp_path / "symbols.csv"
-    sym.write_csv(path)
-    assert path.read_text().splitlines() == ["index,symbol", "0,0", "1,1", "2,2"]
 
 
 @given(
