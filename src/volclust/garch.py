@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .ingest import ReturnSeries, _frozen_array
 from .surrogate import generator
@@ -115,6 +113,9 @@ def variance_path(
 
     sigma^2_0 defaults to the sample variance of the data (n-1 denominator).
     """
+    # scipy is imported here and in fit, so importing the package does not pay for it
+    from scipy.signal import lfilter
+
     r = np.asarray(values, dtype=float)
     if len(r) < 2:
         raise ValueError(f"need at least 2 returns, got {len(r)}")
@@ -184,6 +185,8 @@ def fit(returns: ReturnSeries, initial: GarchParams | None = None) -> GarchFit:
     the optimizer met the tolerance. Default start: omega = 0.1 * sample
     variance, alpha = 0.05, beta = 0.90.
     """
+    from scipy.optimize import minimize
+
     if len(returns) < MIN_FIT_LENGTH:
         raise ValueError(
             f"need at least {MIN_FIT_LENGTH} returns for a meaningful fit, got {len(returns)}"

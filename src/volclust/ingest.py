@@ -21,6 +21,8 @@ import numpy as np
 
 Source = Union[str, Path, bytes, IO[bytes], IO[str]]
 
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
 
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -66,8 +68,7 @@ class PriceSeries:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["timestamp", "price"])
-            for ts, price in zip(self.timestamps, self.prices):
-                writer.writerow([ts, repr(float(price))])
+            writer.writerows(zip(self.timestamps, map(repr, self.prices.tolist())))
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class ReturnSeries:
         return len(self.values)
 
 
-def _open_text(source: Source) -> io.StringIO:
+def _read_text(source: Source) -> str:
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
     elif isinstance(source, bytes):
@@ -110,9 +111,7 @@ def _open_text(source: Source) -> io.StringIO:
         data = source.read()
     else:
         raise TypeError(f"unsupported source type: {type(source).__name__}")
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return io.StringIO(data)
+    return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
 def load_prices(source: Source) -> PriceSeries:
@@ -122,7 +121,61 @@ def load_prices(source: Source) -> PriceSeries:
     (malformed rows, non-positive prices, out-of-order timestamps) report
     the 1-based line number of the offending row.
     """
-    reader = csv.reader(_open_text(source))
+    text = _read_text(source)
+    try:
+        return _read_plain(text)
+    except ValueError:
+        # quoted fields, or any input the row loop rejects: it reads the
+        # text again and reports the first problem with its line number
+        return _read_rows(text)
+
+
+def _read_plain(text: str) -> PriceSeries:
+    """Read an unquoted CSV with LF or CRLF line ends in one vectorized pass.
+
+    It accepts only input that ``_read_rows`` accepts too, with the same
+    result, and raises ValueError for the rest: quotes, NULs, lone CRs, a
+    line without exactly one comma, a field at csv's size limit, a bad
+    header, price or timestamp.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    # csv before Python 3.11 rejects NUL, so NULs go to the row loop too
+    if '"' in text or "\r" in text or "\0" in text:
+        raise ValueError("not a plain CSV")
+    fields = _split_fields(text)
+    if fields is None or [f.strip() for f in fields[:2]] != ["timestamp", "price"]:
+        raise ValueError("not one comma per line, or a bad header")
+    # np.array converts each string with float(), which strips whitespace itself
+    prices = np.array(fields[3::2], dtype=float)
+    return PriceSeries(timestamps=_order_keys(list(map(str.strip, fields[2::2]))), prices=prices)
+
+
+def _split_fields(text: str) -> list[str] | None:
+    """The fields of ``text`` in order, or None unless each line holds one
+    comma and each field is shorter than csv's size limit."""
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    at = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
+    seps = raw[at]
+    # the separators read , \n , \n ... , and then at most one \n, at the end
+    final_newline = len(seps) % 2 == 0
+    if (
+        (final_newline and (len(at) == 0 or at[-1] != len(raw) - 1))
+        or np.any(seps[0::2] != _COMMA)
+        or np.any(seps[1::2] != _NEWLINE)
+        or np.diff(at, prepend=-1, append=len(raw)).max() > csv.field_size_limit()
+    ):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    if final_newline:
+        fields.pop()
+    return fields
+
+
+def _read_rows(text: str) -> PriceSeries:
+    """The reference row loop: the only reader of quoted CSV, and the source
+    of every ``load_prices`` error message."""
+    reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
         raise ValueError("empty input: expected header 'timestamp,price'")

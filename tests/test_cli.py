@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volclust
 from volclust.cli import main, run_experiment
 from volclust.dvc import AnalysisConfig, analyze
-from volclust.garch import GarchParams, simulate
+from volclust.garch import GarchParams, evaluate, simulate
 
 PARAMS = ["--omega", "0.05", "--alpha", "0.10", "--beta", "0.85"]
 
@@ -167,6 +172,23 @@ def test_experiment_garch_filter(tmp_path):
     assert abs(row["dvc_transformed"]["p"]) < abs(row["dvc_raw"]["p"])
 
 
+def test_experiment_flags_non_converged_fits(tmp_path, capsys, monkeypatch):
+    def unconverged_fit(returns):
+        return evaluate(GarchParams(0.05, 0.10, 0.85), returns, converged=False)
+
+    monkeypatch.setattr("volclust.cli.fit", unconverged_fit)
+    out = tmp_path / "expnc"
+    code = main(["experiment", "--kind", "garch-filter", "--n", "5000",
+                 "--seeds", "1,2", "--out", str(out)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "seed 1: GARCH fit did not converge" in err
+    assert "seed 2: GARCH fit did not converge" in err
+    payload = json.loads((out / "experiment.json").read_text())
+    assert set(payload) == {"kind", "n", "params", "config", "rows", "failures", "medians"}
+    assert [row["seed"] for row in payload["rows"]] == [1, 2]
+
+
 def test_experiment_records_per_seed_failures(tmp_path):
     # n too small for the default min_count: every seed fails, exit nonzero
     out = tmp_path / "expbad"
@@ -267,3 +289,18 @@ def test_public_names_resolve():
     namespace = {}
     exec("from volclust import *", namespace)
     assert set(volclust.__all__) <= set(namespace)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the GARCH fit and evaluate, so a fresh interpreter
+    # importing the CLI must not load it
+    src = str(Path(volclust.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        "import sys, volclust.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"

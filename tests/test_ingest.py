@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volclust import ingest
 from volclust.ingest import (
     PriceSeries,
     ReturnSeries,
@@ -101,6 +102,57 @@ def test_large_file_roundtrips_through_export(tmp_path):
     assert parsed.timestamps == original.timestamps
     # full-precision export: every price survives the round trip bit-for-bit
     assert np.array_equal(parsed.prices, original.prices)
+    # string timestamps holding "," or '"' are quoted as csv.writer quotes them
+    quoted = PriceSeries(timestamps=('a"2', "a,1", "b"), prices=np.array([1.5, 2.0, 0.25]))
+    path = tmp_path / "quoted.csv"
+    quoted.write_csv(path)
+    text = path.read_bytes().decode()
+    assert text == 'timestamp,price\r\n"a""2",1.5\r\n"a,1",2.0\r\nb,0.25\r\n'
+    with pytest.raises(ValueError):
+        ingest._read_plain(text)
+    back = load_prices(path)
+    assert back.timestamps == quoted.timestamps
+    assert np.array_equal(back.prices, quoted.prices)
+
+
+def _no_row_loop(text):
+    raise AssertionError("the row loop ran")
+
+
+def test_lf_and_exported_files_take_the_vectorized_path(tmp_path, monkeypatch):
+    exported = PriceSeries(timestamps=(1, 2, 3), prices=np.array([1.0, 2.5, 0.125]))
+    path = tmp_path / "exported.csv"
+    exported.write_csv(path)
+    assert path.read_bytes().count(b"\r\n") == 4
+    monkeypatch.setattr(ingest, "_read_rows", _no_row_loop)
+    assert load_prices(b"timestamp,price\n1,100.0\n2,101.5\n").timestamps == (1, 2)
+    parsed = load_prices(path)
+    assert parsed.timestamps == exported.timestamps
+    assert np.array_equal(parsed.prices, exported.prices)
+
+
+@pytest.mark.parametrize(
+    "numeral, outcome",
+    [
+        ("1_000", 1000.0),
+        ("\u0661\u0662", 12.0),  # Arabic-Indic digits
+        (" 1.5 ", 1.5),
+        ("+inf", "line 2: price must be finite, got '+inf'"),
+        ("1e400", "line 2: price must be finite, got '1e400'"),
+        ("0x10", "line 2: unparseable price '0x10'"),
+    ],
+)
+def test_price_numerals_follow_float(numeral, outcome, monkeypatch):
+    data = f"timestamp,price\n1,{numeral}\n2,1.0\n".encode()
+    if isinstance(outcome, float):
+        assert float(numeral) == outcome
+        # accepted by the vectorized pass on its own
+        monkeypatch.setattr(ingest, "_read_rows", _no_row_loop)
+        assert load_prices(data).prices[0] == outcome
+    else:
+        with pytest.raises(ValueError) as err:
+            load_prices(data)
+        assert str(err.value) == outcome
 
 
 def test_price_series_validation():
@@ -201,6 +253,8 @@ def test_standardize_zero_variance_error():
 
 @st.composite
 def _valid_csv(draw):
+    """CSV lines (header first, blank lines possible), a line end, whether
+    the text ends with one, and the timestamps and prices the lines hold."""
     n = draw(st.integers(min_value=2, max_value=30))
     steps = draw(
         st.lists(st.integers(min_value=1, max_value=1000), min_size=n, max_size=n)
@@ -213,15 +267,23 @@ def _valid_csv(draw):
             max_size=n,
         )
     )
-    body = "".join(f"{t},{p!r}\n" for t, p in zip(timestamps, prices))
-    return "timestamp,price\n" + body, list(timestamps), prices
+    row = draw(st.sampled_from(["{},{}", " {} , {} ", '"{}",{}']))  # plain, padded, quoted
+    lines = ["timestamp,price"] + [row.format(t, repr(p)) for t, p in zip(timestamps, prices)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), "")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return lines, eol, draw(st.booleans()), list(timestamps), prices
+
+
+def _join(lines, eol, final_eol):
+    return (eol.join(lines) + (eol if final_eol else "")).encode()
 
 
 @given(_valid_csv())
 @settings(max_examples=60)
 def test_load_accepts_every_valid_csv(case):
-    text, timestamps, prices = case
-    series = load_prices(text.encode())
+    lines, eol, final_eol, timestamps, prices = case
+    series = load_prices(_join(lines, eol, final_eol))
     assert list(series.timestamps) == timestamps
     assert np.array_equal(series.prices, np.array(prices))
 
@@ -233,12 +295,13 @@ def test_load_accepts_every_valid_csv(case):
 )
 @settings(max_examples=60)
 def test_load_rejects_every_invalid_mutation(case, kind, data):
-    text, timestamps, prices = case
-    lines = text.splitlines()
+    lines, eol, final_eol, _, _ = case
+    lines = list(lines)
+    rows = [i for i, line in enumerate(lines) if i and line]
     if kind == "truncate":
-        lines = lines[:2]
+        lines = lines[: rows[0] + 1]
     else:
-        row = data.draw(st.integers(min_value=1, max_value=len(lines) - 1))
+        row = data.draw(st.sampled_from(rows))
         ts, _ = lines[row].split(",", 1)
         if kind == "negative":
             lines[row] = f"{ts},-1.0"
@@ -248,5 +311,10 @@ def test_load_rejects_every_invalid_mutation(case, kind, data):
             lines[row] = f"{ts},nan"
         elif kind == "dup_ts":
             lines.insert(row, lines[row])
-    with pytest.raises(ValueError):
-        load_prices("\n".join(lines).encode())
+    text = _join(lines, eol, final_eol)
+    with pytest.raises(ValueError) as loaded:
+        load_prices(text)
+    # the message, line number included, is the row loop's
+    with pytest.raises(ValueError) as looped:
+        ingest._read_rows(text.decode())
+    assert str(loaded.value) == str(looped.value)
