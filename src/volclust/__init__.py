@@ -6,7 +6,7 @@ mean absolute successor value against the conditioning symbol value
 (dvc_p for nonnegative symbols, dvc_n for negative ones). The
 :mod:`volclust.garch` and :mod:`volclust.surrogate` modules supply the
 synthetic-data machinery (GARCH(1,1) simulate/fit/filter, seeded
-shuffling) used to validate the measure.
+shuffling) that :mod:`volclust.experiment` uses to validate the measure.
 """
 
 from .dvc import (

@@ -9,22 +9,17 @@ resolved configuration, seeds, and input digests next to its outputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
-import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dvc import AnalysisConfig, _run_stage, analyze
-from .garch import GarchParams, filter_returns, fit, simulate
-from .ingest import PriceSeries, compute_returns, load_prices
-from .surrogate import shuffle
-
-# surrogate streams must not reuse the simulation streams of nearby seeds
-SHUFFLE_SEED_OFFSET = 2**32
+from .experiment import KINDS, run_experiment
+from .garch import GarchParams, simulate
+from .ingest import compute_returns, load_prices, prices_from_returns
 
 REPORT_COLUMNS = (
     "input",
@@ -126,18 +121,6 @@ def _resolve_config(args) -> AnalysisConfig:
     return AnalysisConfig(**values)
 
 
-def _price_series(returns, initial_price: float = 100.0) -> PriceSeries:
-    """Exponentiate cumulative returns into a tick series starting at 100."""
-    log_prices = np.concatenate([[0.0], np.cumsum(returns.values)])
-    prices = initial_price * np.exp(log_prices)
-    if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
-        raise ValueError(
-            "simulated prices exceed the floating-point range; "
-            "reduce n or the variance scale"
-        )
-    return PriceSeries(timestamps=tuple(range(len(prices))), prices=prices)
-
-
 def cmd_analyze(args) -> int:
     config = _resolve_config(args)
     prices = _run_stage("load_prices", load_prices, args.input)
@@ -162,7 +145,7 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     params = GarchParams(omega=args.omega, alpha=args.alpha, beta=args.beta)
     returns = simulate(params, args.n, args.seed)
-    prices = _price_series(returns)
+    prices = prices_from_returns(returns)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -176,68 +159,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def run_experiment(
-    kind: str, params: GarchParams, n: int, seeds: list[int], config: AnalysisConfig
-) -> dict:
-    """Per-seed comparison of raw vs transformed (shuffled or GARCH-filtered) series."""
-    if kind not in ("surrogate", "garch-filter"):
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    if kind == "garch-filter":
-        # fit needs scipy; loaded here, before the first series is simulated,
-        # rather than inside the first fit, each fit page-faults about a third
-        # as often (163 k against 465 k minor faults for 5 seeds at n=2e5)
-        import scipy.signal  # noqa: F401
-    rows, failures = [], []
-    for seed in seeds:
-        try:
-            raw = simulate(params, n, seed)
-            raw_result = analyze(raw, config)
-            if kind == "surrogate":
-                transformed = shuffle(raw, seed + SHUFFLE_SEED_OFFSET)
-            else:
-                fitted = fit(raw)
-                if not fitted.converged:
-                    print(f"seed {seed}: GARCH fit did not converge", file=sys.stderr)
-                transformed = filter_returns(raw, fitted)
-            transformed_result = analyze(transformed, config)
-            rows.append(
-                {
-                    "seed": int(seed),
-                    "dvc_raw": {"p": raw_result.dvc_p, "n": raw_result.dvc_n},
-                    "dvc_transformed": {
-                        "p": transformed_result.dvc_p,
-                        "n": transformed_result.dvc_n,
-                    },
-                }
-            )
-        except ValueError as exc:
-            failures.append({"seed": int(seed), "error": str(exc)})
-
-    def _median(group: str, side: str, absolute: bool) -> float:
-        values = (row[group][side] for row in rows)
-        return statistics.median(abs(v) if absolute else v for v in values)
-
-    medians = {}
-    if rows:
-        for group in ("dvc_raw", "dvc_transformed"):
-            medians[group] = {s: _median(group, s, False) for s in ("p", "n")}
-            medians[f"abs_{group}"] = {s: _median(group, s, True) for s in ("p", "n")}
-    return {
-        "kind": kind,
-        "n": int(n),
-        "params": {"omega": params.omega, "alpha": params.alpha, "beta": params.beta},
-        "config": config.to_json_dict(),
-        "rows": rows,
-        "failures": failures,
-        "medians": medians,
-    }
-
-
 def cmd_experiment(args) -> int:
     params = GarchParams(omega=args.omega, alpha=args.alpha, beta=args.beta)
     config = _resolve_config(args)
     seeds = _parse_seeds(args.seeds)
-    payload = run_experiment(args.kind, params, args.n, seeds, config)
+    payload, not_converged = run_experiment(args.kind, params, args.n, seeds, config)
+    for seed in not_converged:
+        print(f"seed {seed}: GARCH fit did not converge", file=sys.stderr)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -289,31 +217,15 @@ def cmd_report(args) -> int:
                 }
             )
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            rows.append(
-                {
-                    "input": str(path),
-                    "dvc_p": "",
-                    "dvc_n": "",
-                    "abs_dvc_n": "",
-                    "n_points_pos": "",
-                    "n_points_neg": "",
-                    "status": f"error: {exc}",
-                }
-            )
+            rows.append({**dict.fromkeys(REPORT_COLUMNS, ""), "input": str(path),
+                         "status": f"error: {exc}"})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    csv_lines = [",".join(REPORT_COLUMNS)]
-    for row in rows:
-        fields = []
-        for col in REPORT_COLUMNS:
-            value = row[col]
-            text = repr(value) if isinstance(value, float) else str(value)
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            fields.append(text)
-        csv_lines.append(",".join(fields))
-    (out / "report.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    with open(out / "report.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(REPORT_COLUMNS)
+        writer.writerows([row[col] for col in REPORT_COLUMNS] for row in rows)
     _write_json(out / "manifest.json", _manifest("report", {}, [], list(args.inputs)))
 
     widths = {col: max(len(col), *(len(_cell(row[col])) for row in rows)) for col in REPORT_COLUMNS}
@@ -364,7 +276,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("experiment", help="raw vs transformed comparison over seeds")
-    p.add_argument("--kind", choices=["surrogate", "garch-filter"], required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True, help="returns per simulated series")
     p.add_argument("--seeds", required=True, help="comma-separated integer seeds")
     p.add_argument("--omega", type=float, default=0.05)

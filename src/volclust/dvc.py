@@ -45,8 +45,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.n_bins < 3 or self.n_bins % 2 == 0:
             raise ValueError(f"n_bins must be odd and >= 3, got {self.n_bins}")
-        if not self.clip_sigmas > 0.0:
-            raise ValueError(f"clip_sigmas must be positive, got {self.clip_sigmas}")
+        if not 0.0 < self.clip_sigmas < np.inf:
+            raise ValueError(f"clip_sigmas must be positive and finite, got {self.clip_sigmas}")
         if self.min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
 

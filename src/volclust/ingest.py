@@ -22,6 +22,7 @@ import numpy as np
 Source = Union[str, Path, bytes, IO[bytes], IO[str]]
 
 _COMMA, _NEWLINE = ord(","), ord("\n")
+_INITIAL_PRICE = 100.0
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -176,34 +177,37 @@ def _read_rows(text: str) -> PriceSeries:
     """The reference row loop: the only reader of quoted CSV, and the source
     of every ``load_prices`` error message."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("empty input: expected header 'timestamp,price'")
-    if [h.strip() for h in header] != ["timestamp", "price"]:
-        raise ValueError(
-            f"line 1: expected header 'timestamp,price', got {','.join(header)!r}"
-        )
-
     raw_ts: list[str] = []
     prices: list[float] = []
     linenos: list[int] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        ts, price_text = row[0].strip(), row[1].strip()
-        try:
-            price = float(price_text)
-        except ValueError:
-            raise ValueError(f"line {lineno}: unparseable price {price_text!r}") from None
-        if not math.isfinite(price):
-            raise ValueError(f"line {lineno}: price must be finite, got {price_text!r}")
-        if price <= 0.0:
-            raise ValueError(f"line {lineno}: price must be positive, got {price_text!r}")
-        raw_ts.append(ts)
-        prices.append(price)
-        linenos.append(lineno)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty input: expected header 'timestamp,price'")
+        if [h.strip() for h in header] != ["timestamp", "price"]:
+            raise ValueError(
+                f"line 1: expected header 'timestamp,price', got {','.join(header)!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(f"line {lineno}: expected 2 fields, got {len(row)}")
+            ts, price_text = row[0].strip(), row[1].strip()
+            try:
+                price = float(price_text)
+            except ValueError:
+                raise ValueError(f"line {lineno}: unparseable price {price_text!r}") from None
+            if not math.isfinite(price):
+                raise ValueError(f"line {lineno}: price must be finite, got {price_text!r}")
+            if price <= 0.0:
+                raise ValueError(f"line {lineno}: price must be positive, got {price_text!r}")
+            raw_ts.append(ts)
+            prices.append(price)
+            linenos.append(lineno)
+    except csv.Error as exc:
+        # a lone CR inside a line, or a field over csv.field_size_limit()
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
 
     if len(prices) < 2:
         raise ValueError(f"need at least 2 data rows, got {len(prices)}")
@@ -229,6 +233,18 @@ def _order_keys(raw: list[str]) -> tuple:
 def compute_returns(prices: PriceSeries) -> ReturnSeries:
     """Log-difference returns: values[i] = ln(prices[i+1]) - ln(prices[i])."""
     return ReturnSeries.from_values(np.diff(np.log(prices.prices)))
+
+
+def prices_from_returns(returns: ReturnSeries) -> PriceSeries:
+    """Invert ``compute_returns``: n+1 prices from 100, timestamps 0..n."""
+    log_prices = np.concatenate([[0.0], np.cumsum(returns.values)])
+    prices = _INITIAL_PRICE * np.exp(log_prices)
+    if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
+        raise ValueError(
+            "simulated prices exceed the floating-point range; "
+            "reduce n or the variance scale"
+        )
+    return PriceSeries(timestamps=tuple(range(len(prices))), prices=prices)
 
 
 def standardize(returns: ReturnSeries) -> ReturnSeries:

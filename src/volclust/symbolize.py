@@ -7,7 +7,6 @@ containing it, and a symbol's numeric value is its bin midpoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +40,6 @@ class BinningScheme:
         if not np.allclose(self.centers, midpoints, rtol=0.0, atol=_EDGE_TOL * scale):
             raise ValueError("centers must be the bin midpoints")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_bins": self.n_bins,
-            "edges": [float(e) for e in self.edges],
-            "centers": [float(c) for c in self.centers],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class SymbolicSeries:
@@ -78,8 +67,8 @@ def build_bins(returns: ReturnSeries, n_bins: int, clip_sigmas: float) -> Binnin
     """
     if n_bins < 3 or n_bins % 2 == 0:
         raise ValueError(f"n_bins must be odd and >= 3, got {n_bins}")
-    if not clip_sigmas > 0.0:
-        raise ValueError(f"clip_sigmas must be positive, got {clip_sigmas}")
+    if not 0.0 < clip_sigmas < np.inf:
+        raise ValueError(f"clip_sigmas must be positive and finite, got {clip_sigmas}")
     if returns.stdev <= 0.0:
         raise ValueError("cannot bin a zero-variance return series")
     # Offsets are mirrored so the grid is exactly antisymmetric, and a mean

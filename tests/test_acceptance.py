@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from volclust.cli import SHUFFLE_SEED_OFFSET, main
+from volclust.cli import main
 from volclust.dvc import (
     DvcPoint,
     DvcProfile,
@@ -19,6 +19,7 @@ from volclust.dvc import (
     dvc_profile,
     fit_dvc,
 )
+from volclust.experiment import SHUFFLE_SEED_OFFSET
 from volclust.garch import GarchParams, filter_returns, fit, simulate
 from volclust.surrogate import iid_gaussian, shuffle
 from volclust.symbolize import BinningScheme, SymbolicSeries

@@ -1,3 +1,5 @@
+import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,8 +10,9 @@ import numpy as np
 import pytest
 
 import volclust
-from volclust.cli import main, run_experiment
+from volclust.cli import main
 from volclust.dvc import AnalysisConfig, analyze
+from volclust.experiment import run_experiment
 from volclust.garch import GarchParams, evaluate, simulate
 
 PARAMS = ["--omega", "0.05", "--alpha", "0.10", "--beta", "0.85"]
@@ -96,6 +99,10 @@ def test_analyze_short_input_names_failing_stage(tmp_path, capsys):
     code = main(["analyze", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "dvc_profile" in capsys.readouterr().err
+    # csv's own errors (here a lone CR) are input errors of the load stage too
+    path.write_bytes(b"timestamp,price\n1,1.0\r2,2.0\n")
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "load_prices: line 2:" in capsys.readouterr().err
 
 
 def test_analyze_missing_input(tmp_path, capsys):
@@ -176,7 +183,7 @@ def test_experiment_flags_non_converged_fits(tmp_path, capsys, monkeypatch):
     def unconverged_fit(returns):
         return evaluate(GarchParams(0.05, 0.10, 0.85), returns, converged=False)
 
-    monkeypatch.setattr("volclust.cli.fit", unconverged_fit)
+    monkeypatch.setattr("volclust.experiment.fit", unconverged_fit)
     out = tmp_path / "expnc"
     code = main(["experiment", "--kind", "garch-filter", "--n", "5000",
                  "--seeds", "1,2", "--out", str(out)])
@@ -247,16 +254,21 @@ def test_report_tabulates_results(tmp_path, capsys):
 
 def test_report_flags_invalid_inputs(tmp_path, capsys):
     good = _result_file(tmp_path, "good.json", 0.4, -0.3)
+    quoted = _result_file(tmp_path, 'a,"b.json', 0.4, -0.3)
     empty = tmp_path / "empty.json"
     empty.write_text("")
     out = tmp_path / "rep"
     code = main(["report", str(good), str(empty), str(tmp_path / "missing.json"),
-                 "--out", str(out)])
+                 str(quoted), "--out", str(out)])
     assert code == 0
     lines = (out / "report.csv").read_text().splitlines()
     statuses = [line.split(",")[-1] for line in lines[1:]]
     assert statuses[0] == "ok"
-    assert all("error" in s for s in statuses[1:])
+    assert all("error" in s for s in statuses[1:3])
+    with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[4][0] == str(quoted)
+    assert rows[4][-1] == "ok"
 
 
 def test_report_all_invalid_exits_nonzero(tmp_path):
@@ -289,6 +301,20 @@ def test_public_names_resolve():
     namespace = {}
     exec("from volclust import *", namespace)
     assert set(volclust.__all__) <= set(namespace)
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # perfbench/tracer.py wraps these by name; a hook that no longer resolves
+    # would silently empty its per-layer metric
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("volclust_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # imports volclust.cli; install() is not called
+    for module, attr in tracer.FUNCTIONS:
+        assert callable(getattr(sys.modules.get(module), attr, None)), f"{module}.{attr}"
+    for module, cls, attr in tracer.METHODS:
+        owner = getattr(sys.modules.get(module), cls, None)
+        assert owner is not None and attr in vars(owner), f"{module}.{cls}.{attr}"
 
 
 def test_cli_import_loads_no_scipy():

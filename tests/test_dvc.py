@@ -254,6 +254,8 @@ def test_analyze_config_validation():
         AnalysisConfig(min_count=0)
     with pytest.raises(ValueError, match="clip_sigmas"):
         AnalysisConfig(clip_sigmas=-1.0)
+    with pytest.raises(ValueError, match="clip_sigmas"):
+        AnalysisConfig(clip_sigmas=float("inf"))
 
 
 def test_analyze_is_deterministic():

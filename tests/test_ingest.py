@@ -55,6 +55,11 @@ def test_load_rejects_malformed_row():
         load_prices(b"timestamp,price\n1,100.0\n2,100.0,junk\n")
     with pytest.raises(ValueError, match="line 2.*unparseable"):
         load_prices(b"timestamp,price\n1,abc\n2,100.0\n")
+    # csv.Error is not a ValueError: a lone CR, and a field over csv's size limit
+    with pytest.raises(ValueError, match="^line 2: new-line character"):
+        load_prices(b"timestamp,price\n1,1.0\r2,2.0\n")
+    with pytest.raises(ValueError, match="^line 3: field larger than field limit"):
+        load_prices(b"timestamp,price\n1,1.0\n2," + b"1" * 140_000 + b"\n")
 
 
 def test_load_rejects_non_increasing_timestamps():
