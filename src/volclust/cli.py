@@ -56,6 +56,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _manifest(command: str, config: dict, seeds: list[int], inputs: list) -> dict:
     return {
         "command": command,
@@ -107,17 +114,8 @@ def _read_config_file(path: str | Path) -> dict:
 
 def _resolve_config(args) -> AnalysisConfig:
     """Merge config file and flags into an AnalysisConfig; flags win."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    if args.bins is not None:
-        values["n_bins"] = args.bins
-    if args.clip_sigmas is not None:
-        values["clip_sigmas"] = args.clip_sigmas
-    if args.min_count is not None:
-        values["min_count"] = args.min_count
-    if args.standardize is not None:
-        values["standardize_first"] = args.standardize
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((k, getattr(args, k)) for k in _CONFIG_KEYS if getattr(args, k) is not None)
     return AnalysisConfig(**values)
 
 
@@ -130,7 +128,8 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "result.json").write_text(result.to_json(), encoding="utf-8")
-    result.profile.write_csv(out / "profile.csv")
+    _write_csv(out / "profile.csv", ("s_value", "abs_mean", "count"),
+               ((p.s_value, p.abs_mean, p.count) for p in result.profile.points))
     _write_json(
         out / "manifest.json",
         _manifest("analyze", config.to_json_dict(), [], [args.input]),
@@ -150,7 +149,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     prices.write_csv(out)
-    config = {"omega": args.omega, "alpha": args.alpha, "beta": args.beta, "n": args.n}
+    config = {**params.to_json_dict(), "n": args.n}
     _write_json(
         Path(f"{out}.manifest.json"),
         _manifest("simulate", config, [args.seed], []),
@@ -222,10 +221,8 @@ def cmd_report(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows([row[col] for col in REPORT_COLUMNS] for row in rows)
+    _write_csv(out / "report.csv", REPORT_COLUMNS,
+               ([row[col] for col in REPORT_COLUMNS] for row in rows))
     _write_json(out / "manifest.json", _manifest("report", {}, [], list(args.inputs)))
 
     widths = {col: max(len(col), *(len(_cell(row[col])) for row in rows)) for col in REPORT_COLUMNS}
@@ -245,14 +242,15 @@ def _cell(value) -> str:
 
 
 def _add_analysis_flags(parser) -> None:
-    parser.add_argument("--bins", type=int, default=None,
+    parser.add_argument("--bins", dest="n_bins", metavar="BINS", type=int, default=None,
                         help="number of bins, odd and >= 3 (default 41)")
     parser.add_argument("--clip-sigmas", dest="clip_sigmas", type=float, default=None,
                         help="binning half-range in sample stdevs (default 3)")
     parser.add_argument("--min-count", dest="min_count", type=int, default=None,
                         help="minimum transitions per profile point (default 100)")
-    parser.add_argument("--standardize", action=argparse.BooleanOptionalAction,
-                        default=None, help="standardize returns before binning (default on)")
+    parser.add_argument("--standardize", dest="standardize_first",
+                        action=argparse.BooleanOptionalAction, default=None,
+                        help="standardize returns before binning (default on)")
     parser.add_argument("--config", default=None,
                         help="key = value config file; explicit flags override it")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
@@ -124,15 +123,6 @@ class DvcProfile:
 
     def abs_means(self) -> np.ndarray:
         return np.array([p.abs_mean for p in self.points])
-
-    def to_csv_text(self) -> str:
-        lines = ["s_value,abs_mean,count"]
-        for p in self.points:
-            lines.append(f"{p.s_value!r},{p.abs_mean!r},{p.count}")
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv_text(), encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def run_experiment(
     return {
         "kind": kind,
         "n": int(n),
-        "params": {"omega": params.omega, "alpha": params.alpha, "beta": params.beta},
+        "params": params.to_json_dict(),
         "config": config.to_json_dict(),
         "rows": rows,
         "failures": failures,

@@ -55,6 +55,9 @@ class GarchParams:
     def unconditional_variance(self) -> float:
         return self.omega / (1.0 - self.alpha - self.beta)
 
+    def to_json_dict(self) -> dict:
+        return {"omega": float(self.omega), "alpha": float(self.alpha), "beta": float(self.beta)}
+
 
 @dataclass(frozen=True)
 class GarchFit:
@@ -77,9 +80,7 @@ class GarchFit:
 
     def to_json_dict(self) -> dict:
         return {
-            "omega": float(self.params.omega),
-            "alpha": float(self.params.alpha),
-            "beta": float(self.params.beta),
+            **self.params.to_json_dict(),
             "log_likelihood": float(self.log_likelihood),
             "converged": bool(self.converged),
         }
@@ -158,14 +159,7 @@ def _sigmoid(t: float) -> float:
 
 
 def _logit(p: float) -> float:
-    p = min(max(p, 1e-12), 1.0 - 1e-12)
     return math.log(p / (1.0 - p))
-
-
-def _pack(params: GarchParams) -> np.ndarray:
-    persistence = params.alpha + params.beta
-    share = params.alpha / persistence if persistence > 0.0 else 0.5
-    return np.array([math.log(params.omega), _logit(persistence), _logit(share)])
 
 
 def _unpack(theta: np.ndarray) -> GarchParams:
@@ -176,14 +170,14 @@ def _unpack(theta: np.ndarray) -> GarchParams:
     return GarchParams(omega=omega, alpha=persistence * share, beta=persistence * (1.0 - share))
 
 
-def fit(returns: ReturnSeries, initial: GarchParams | None = None) -> GarchFit:
+def fit(returns: ReturnSeries) -> GarchFit:
     """Maximum-likelihood GARCH(1,1) fit via Nelder-Mead.
 
     The search runs on (log omega, logit persistence, logit share), which
     maps onto the stationarity region, with relative function tolerance
     1e-8 and at most 2000 iterations; the converged flag reports whether
-    the optimizer met the tolerance. Default start: omega = 0.1 * sample
-    variance, alpha = 0.05, beta = 0.90.
+    the optimizer met the tolerance. Start: omega = 0.1 * sample variance,
+    alpha = 0.05, beta = 0.90.
     """
     from scipy.optimize import minimize
 
@@ -191,9 +185,9 @@ def fit(returns: ReturnSeries, initial: GarchParams | None = None) -> GarchFit:
         raise ValueError(
             f"need at least {MIN_FIT_LENGTH} returns for a meaningful fit, got {len(returns)}"
         )
-    if initial is None:
-        initial = GarchParams(omega=0.1 * returns.stdev**2, alpha=0.05, beta=0.90)
-    x0 = _pack(initial)
+    start = GarchParams(omega=0.1 * returns.stdev**2, alpha=0.05, beta=0.90)
+    persistence = start.alpha + start.beta
+    x0 = np.array([math.log(start.omega), _logit(persistence), _logit(start.alpha / persistence)])
 
     values = returns.values
     v0 = float(np.var(values, ddof=1))
@@ -217,9 +211,7 @@ def fit(returns: ReturnSeries, initial: GarchParams | None = None) -> GarchFit:
             xatol=1e-6,
         ),
     )
-    best = _unpack(result.x)
-    fitted = evaluate(best, returns, converged=bool(result.success))
-    return fitted
+    return evaluate(_unpack(result.x), returns, converged=bool(result.success))
 
 
 def filter_returns(returns: ReturnSeries, fitted: GarchFit) -> ReturnSeries:

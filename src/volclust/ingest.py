@@ -238,7 +238,8 @@ def compute_returns(prices: PriceSeries) -> ReturnSeries:
 def prices_from_returns(returns: ReturnSeries) -> PriceSeries:
     """Invert ``compute_returns``: n+1 prices from 100, timestamps 0..n."""
     log_prices = np.concatenate([[0.0], np.cumsum(returns.values)])
-    prices = _INITIAL_PRICE * np.exp(log_prices)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        prices = _INITIAL_PRICE * np.exp(log_prices)
     if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
         raise ValueError(
             "simulated prices exceed the floating-point range; "

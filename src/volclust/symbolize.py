@@ -76,6 +76,9 @@ def build_bins(returns: ReturnSeries, n_bins: int, clip_sigmas: float) -> Binnin
     # then exactly 0.0 for standardized input, which keeps the sign split of
     # the slope fit stable under last-ulp perturbations of the data.
     span = clip_sigmas * returns.stdev
+    # a bin center halves the sum of two edges, so edges stay below half the float range
+    if not np.isfinite(2.0 * (abs(returns.mean) + span)):
+        raise ValueError(f"clip_sigmas {clip_sigmas} times stdev {returns.stdev} overflows")
     upper = np.linspace(span / n_bins, span, (n_bins + 1) // 2)
     offsets = np.concatenate([-upper[::-1], upper])
     mean = 0.0 if abs(returns.mean) <= 1e-12 * returns.stdev else returns.mean

@@ -68,7 +68,9 @@ def test_analyze_outputs_and_determinism(tmp_path):
     assert result["dvc_n"] < 0.0
     profile_lines = (out1 / "profile.csv").read_text().splitlines()
     assert profile_lines[0] == "s_value,abs_mean,count"
-    assert len(profile_lines) == len(result["profile"]) + 1
+    assert profile_lines[1:] == [
+        f"{p['s_value']!r},{p['abs_mean']!r},{p['count']}" for p in result["profile"]
+    ]
 
 
 def test_analyze_garch_file_detects_clustering(tmp_path):

@@ -164,14 +164,6 @@ def test_profile_validation():
         DvcProfile(points=())
 
 
-def test_profile_csv_export():
-    profile = DvcProfile(points=(DvcPoint(-1.0, 0.5, 10), DvcPoint(1.0, 0.75, 20)))
-    lines = profile.to_csv_text().splitlines()
-    assert lines[0] == "s_value,abs_mean,count"
-    assert lines[1] == "-1.0,0.5,10"
-    assert lines[2] == "1.0,0.75,20"
-
-
 # --- fit_dvc ----------------------------------------------------------------
 
 

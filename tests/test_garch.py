@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from volclust import garch
 from volclust.dvc import analyze
 from volclust.garch import (
     GarchFit,
@@ -144,11 +146,26 @@ def test_fit_iid_input_gives_tiny_alpha():
     assert float(np.median(alphas)) < 0.02
 
 
-def test_fit_refit_reproduces_likelihood():
+def test_fit_ends_at_a_likelihood_maximum():
     series = simulate(TRUE, 50_000, 7)
-    first = fit(series)
-    second = fit(series, initial=first.params)
-    assert abs(first.log_likelihood - second.log_likelihood) < 1e-6
+    fitted = fit(series)
+    for name in ("omega", "alpha", "beta"):
+        for factor in (0.99, 1.01):
+            moved = replace(fitted.params, **{name: getattr(fitted.params, name) * factor})
+            assert evaluate(moved, series).log_likelihood <= fitted.log_likelihood + 1e-6
+
+
+def test_fit_evaluates_through_variance_path(monkeypatch):
+    # the benchmark's garch.fit_nfev counts variance_path calls inside fit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return variance_path(*args, **kwargs)
+
+    monkeypatch.setattr(garch, "variance_path", counted)
+    fit(simulate(TRUE, 2_000, 4))
+    assert len(calls) >= 3  # start value, search, final evaluate
 
 
 def test_fit_is_deterministic():

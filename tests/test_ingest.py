@@ -1,6 +1,7 @@
 import io
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from volclust.ingest import (
     ReturnSeries,
     compute_returns,
     load_prices,
+    prices_from_returns,
     standardize,
 )
 
@@ -203,6 +205,14 @@ def test_compute_returns_inverts_exponentiated_cumsum():
     )
     recovered = compute_returns(prices)
     assert np.max(np.abs(recovered.values - known)) < 1e-12
+
+
+def test_prices_from_returns_reports_overflow_without_warning():
+    returns = ReturnSeries.from_values([800.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exceed the floating-point range"):
+            prices_from_returns(returns)
 
 
 def test_return_series_caches_match_recomputation():

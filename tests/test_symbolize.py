@@ -45,6 +45,11 @@ def test_build_bins_rejects_bad_clip_and_variance():
         build_bins(UNIT, n_bins=3, clip_sigmas=0.0)
     with pytest.raises(ValueError, match="clip_sigmas"):
         build_bins(UNIT, n_bins=3, clip_sigmas=float("inf"))
+    # finite, but the edges, or the sum of two adjacent edges, leave the float range
+    wide = ReturnSeries.from_values([-2.0, 0.0, 2.0])  # stdev 2
+    for clip_sigmas in (1e308, 6e307):
+        with pytest.raises(ValueError, match="clip_sigmas"):
+            build_bins(wide, n_bins=41, clip_sigmas=clip_sigmas)
     with pytest.raises(ValueError, match="zero-variance"):
         build_bins(ReturnSeries.from_values([0.1, 0.1]), n_bins=3, clip_sigmas=3.0)
 
