@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volclust.cli import _write_csv
 from volclust.dvc import (
     AnalysisConfig,
     ConditionalDistribution,
@@ -162,6 +163,18 @@ def test_profile_validation():
         DvcProfile(points=(DvcPoint(0.0, -0.1, 10),))
     with pytest.raises(ValueError, match="at least one"):
         DvcProfile(points=())
+
+
+def test_profile_csv_export(tmp_path):
+    profile = DvcProfile(points=(DvcPoint(-1.0, 0.5, 10), DvcPoint(1.0, 0.75, 20)))
+    path = tmp_path / "profile.csv"
+    _write_csv(path, ("s_value", "abs_mean", "count"),
+               ((p.s_value, p.abs_mean, p.count) for p in profile.points))
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[0] == "s_value,abs_mean,count"
+    assert lines[1] == "-1.0,0.5,10"
+    assert lines[2] == "1.0,0.75,20"
+    assert lines[3:] == [""]
 
 
 # --- fit_dvc ----------------------------------------------------------------
