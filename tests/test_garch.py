@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,19 @@ def test_simulate_is_seed_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
+def test_simulate_keeps_one_float_object_per_step():
+    # the path's floats and a few arrays come to about 71 bytes a step;
+    # listing the noise as floats as well comes to about 95
+    n = 100_000
+    tracemalloc.start()
+    try:
+        simulate(TRUE, n, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 85 * (n + garch.SIMULATION_BURN_IN)
+
+
 def test_simulate_validates_inputs():
     with pytest.raises(ValueError, match="n must be"):
         simulate(TRUE, 1, 0)
@@ -142,8 +156,9 @@ def test_fit_recovers_simulation_parameters():
 
 
 def test_fit_iid_input_gives_tiny_alpha():
-    alphas = [fit(iid_gaussian(50_000, 1.0, seed)).params.alpha for seed in range(1, 11)]
-    assert float(np.median(alphas)) < 0.02
+    fits = [fit(iid_gaussian(50_000, 1.0, seed)) for seed in range(1, 11)]
+    assert all(f.converged for f in fits)
+    assert float(np.median([f.params.alpha for f in fits])) < 0.02
 
 
 def test_fit_ends_at_a_likelihood_maximum():
@@ -164,8 +179,62 @@ def test_fit_evaluates_through_variance_path(monkeypatch):
         return variance_path(*args, **kwargs)
 
     monkeypatch.setattr(garch, "variance_path", counted)
-    fit(simulate(TRUE, 2_000, 4))
-    assert len(calls) >= 3  # start value, search, final evaluate
+    fit(simulate(TRUE, 20_000, 3))
+    assert 3 <= len(calls) <= 60  # the search, then the final evaluate
+
+
+def _theta(params: GarchParams) -> np.ndarray:
+    persistence = params.alpha + params.beta
+    return np.array(
+        [
+            math.log(params.omega),
+            math.log(persistence / (1.0 - persistence)),
+            math.log(params.alpha / params.beta),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        _theta(TRUE),
+        _theta(GarchParams(omega=0.05, alpha=1e-4, beta=0.85)),  # share near 0
+        _theta(GarchParams(omega=0.001, alpha=0.10, beta=0.899)),  # persistence near 1
+        np.array([0.0, 40.0, -3.0]),  # persistence clamped at 1 - 1e-12
+    ],
+)
+def test_score_matches_central_differences(theta):
+    series = simulate(TRUE, 5_000, 3)
+    values = series.values
+    nll, score = garch._nll_and_score(theta, values, values * values, np.var(values, ddof=1))
+    assert nll == pytest.approx(-evaluate(garch._unpack(theta), series).log_likelihood, rel=1e-12)
+    for i in range(3):
+        step = np.zeros(3)
+        step[i] = 1e-5
+        up = -evaluate(garch._unpack(theta + step), series).log_likelihood
+        down = -evaluate(garch._unpack(theta - step), series).log_likelihood
+        central = (up - down) / 2e-5
+        assert abs(score[i] - central) <= 1e-5 * abs(central)
+
+
+def test_fit_keeps_blas_on_the_calling_thread(monkeypatch):
+    # OpenBLAS workers woken by L-BFGS-B would busy-wait through the search
+    limit = garch._openblas_thread_limit()
+    if limit is None:
+        pytest.skip("this SciPy does not bundle OpenBLAS")
+    import scipy.optimize
+
+    minimize, seen = scipy.optimize.minimize, []
+
+    def probed(*args, **kwargs):
+        threads = limit(1)
+        limit(threads)
+        seen.append(threads)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", probed)
+    fit(simulate(TRUE, 5_000, 3))
+    assert seen == [1]
 
 
 def test_fit_is_deterministic():
