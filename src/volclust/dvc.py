@@ -1,27 +1,23 @@
 """Degree-of-volatility-clustering estimation from a symbolic series.
 
-For each conditioning symbol the empirical distribution of the next symbol
-is estimated; its mean absolute successor value is then regressed on the
-conditioning symbol's value, separately for nonnegative and negative
-values. The two slopes (dvc_p, dvc_n) quantify how strongly large-magnitude
-returns follow large-magnitude returns: both are near zero for a series
-with no temporal dependence, and move apart (positive / negative) when
-volatility clusters.
+Consecutive symbols are counted into a transition-count matrix. Row i,
+divided by its sum, is the distribution of the symbol that follows symbol
+i; its mean absolute successor value is then regressed on the value of
+symbol i, separately for nonnegative and negative values. The two slopes
+(dvc_p, dvc_n) quantify how strongly large-magnitude returns follow
+large-magnitude returns: both are near zero for a series with no temporal
+dependence, and move apart (positive / negative) when volatility clusters.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
 from .ingest import ReturnSeries, standardize
 from .symbolize import SymbolicSeries, build_bins, symbolize
-
-_PROB_TOL = 1e-12
 
 
 class PipelineError(ValueError):
@@ -56,38 +52,6 @@ class AnalysisConfig:
             "min_count": self.min_count,
             "standardize_first": bool(self.standardize_first),
         }
-
-
-@dataclass(frozen=True)
-class ConditionalDistribution:
-    """Empirical next-symbol distribution for one conditioning symbol.
-
-    A normalized view of one row of the transition-count matrix:
-    support_count is the row total, the number of observed transitions out
-    of the conditioning symbol (occurrences anywhere but the last position).
-    """
-
-    conditioning_symbol: int
-    probabilities: Mapping[int, float]
-    support_count: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "probabilities", MappingProxyType(dict(self.probabilities))
-        )
-        if self.support_count < 0:
-            raise ValueError("support_count must be nonnegative")
-        if self.support_count == 0:
-            if self.probabilities:
-                raise ValueError("empty support requires empty probabilities")
-            return
-        total = 0.0
-        for sym, p in self.probabilities.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability of symbol {sym} outside [0, 1]: {p}")
-            total += p
-        if abs(total - 1.0) > _PROB_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -153,30 +117,18 @@ class DvcResult:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _transition_counts(series: SymbolicSeries) -> np.ndarray:
-    k = series.scheme.n_bins
-    idx = series.indices
-    if len(idx) < 2:
-        return np.zeros((k, k), dtype=np.int64)
-    flat = np.bincount(idx[:-1] * k + idx[1:], minlength=k * k)
-    return flat.reshape(k, k)
+def transition_counts(series: SymbolicSeries) -> np.ndarray:
+    """The k x k matrix of symbol-to-symbol steps, k = series.scheme.n_bins.
 
-
-def conditional_distribution(
-    series: SymbolicSeries, conditioning_symbol: int
-) -> ConditionalDistribution:
-    """Row ``conditioning_symbol`` of the transition-count matrix, normalized.
-
-    Returns an empty distribution (support_count 0) when the symbol never
-    occurs before the last position.
+    Entry (i, j) counts the positions t with symbol i at t and symbol j at
+    t + 1, so row i sums to the occurrences of i before the last position.
+    Row i, divided by its sum, is the empirical distribution of the symbol
+    that follows i.
     """
     k = series.scheme.n_bins
-    if not 0 <= conditioning_symbol < k:
-        raise ValueError(f"symbol index {conditioning_symbol} out of range [0, {k})")
-    row = _transition_counts(series)[conditioning_symbol].tolist()
-    support = sum(row)
-    probs = {j: count / support for j, count in enumerate(row) if count}
-    return ConditionalDistribution(conditioning_symbol, probs, support)
+    idx = series.indices
+    flat = np.bincount(idx[:-1] * k + idx[1:], minlength=k * k)
+    return flat.reshape(k, k)
 
 
 def dvc_profile(series: SymbolicSeries, min_count: int) -> DvcProfile:
@@ -187,7 +139,7 @@ def dvc_profile(series: SymbolicSeries, min_count: int) -> DvcProfile:
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counts = _transition_counts(series)
+    counts = transition_counts(series)
     support = counts.sum(axis=1)
     keep = np.nonzero(support >= min_count)[0]
     if len(keep) == 0:

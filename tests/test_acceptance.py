@@ -15,9 +15,9 @@ from volclust.dvc import (
     DvcPoint,
     DvcProfile,
     analyze,
-    conditional_distribution,
     dvc_profile,
     fit_dvc,
+    transition_counts,
 )
 from volclust.experiment import SHUFFLE_SEED_OFFSET
 from volclust.garch import GarchParams, filter_returns, fit, simulate
@@ -132,34 +132,27 @@ def test_criterion_5_mle_self_consistency():
            f"beta={med[2]:.3f} (each <=0.20)")
 
 
-def brute_force_transitions(indices):
-    counts = {}
+def brute_force_transitions(indices, n_symbols):
+    """Oracle: the n_symbols x n_symbols count matrix, counted pair by pair."""
+    counts = [[0] * n_symbols for _ in range(n_symbols)]
     prev = indices[0]
     for cur in indices[1:]:
-        row = counts.setdefault(prev, {})
-        row[cur] = row.get(cur, 0) + 1
+        counts[prev][cur] += 1
         prev = cur
     return counts
 
 
-def check_against_oracle(series, oracle, n_symbols, min_count):
-    """Exact-count / 1e-12-probability comparison for one symbolic series."""
-    for symbol in range(n_symbols):
-        dist = conditional_distribution(series, symbol)
-        row = oracle.get(symbol, {})
-        support = sum(row.values())
-        assert dist.support_count == support
-        assert set(dist.probabilities) == set(row)
-        for successor, count in row.items():
-            assert abs(dist.probabilities[successor] - count / support) <= 1e-12
+def check_against_oracle(series, oracle, min_count):
+    """Exact count-matrix / 1e-12-profile comparison for one symbolic series."""
+    assert np.array_equal(transition_counts(series), oracle)
 
     centers = series.scheme.centers
+    abs_centers = [abs(float(c)) for c in centers]
     expected = []
-    for symbol in sorted(oracle):
-        row = oracle[symbol]
-        support = sum(row.values())
+    for symbol, row in enumerate(oracle):
+        support = sum(row)
         if support >= min_count:
-            abs_mean = sum(abs(centers[j]) * c for j, c in row.items()) / support
+            abs_mean = sum(a * c for a, c in zip(abs_centers, row)) / support
             expected.append((float(centers[symbol]), abs_mean, support))
     if not expected:
         with pytest.raises(ValueError):
@@ -187,7 +180,7 @@ def test_criterion_6a_oracle_equivalence_exhaustive():
                     indices=np.asarray(row, dtype=np.int64),
                     scheme=THREE_SYMBOL_SCHEME,
                 )
-                check_against_oracle(series, brute_force_transitions(row), 3, 1)
+                check_against_oracle(series, brute_force_transitions(row, 3), 1)
                 checked += 1
     ok = checked == sum(3**length for length in range(1, 13))
     report("6a", "oracle equivalence (exhaustive)", ok,
@@ -204,8 +197,8 @@ def test_criterion_6b_oracle_equivalence_randomized():
     for _ in range(1000):
         indices = rng.integers(0, 41, size=10_000)
         series = SymbolicSeries(indices=indices, scheme=scheme)
-        oracle = brute_force_transitions(indices.tolist())
-        check_against_oracle(series, oracle, 41, 100)
+        oracle = brute_force_transitions(indices.tolist(), 41)
+        check_against_oracle(series, oracle, 100)
     report("6b", "oracle equivalence (randomized)", True,
            "1000 random sequences of length 10000 over 41 symbols match exactly")
 

@@ -14,6 +14,7 @@ from volclust.cli import main
 from volclust.dvc import AnalysisConfig, analyze
 from volclust.experiment import run_experiment
 from volclust.garch import GarchParams, evaluate, simulate
+from volclust.ingest import PriceSeries
 
 PARAMS = ["--omega", "0.05", "--alpha", "0.10", "--beta", "0.85"]
 
@@ -105,6 +106,27 @@ def test_analyze_short_input_names_failing_stage(tmp_path, capsys):
     path.write_bytes(b"timestamp,price\n1,1.0\r2,2.0\n")
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "load_prices: line 2:" in capsys.readouterr().err
+
+
+def _tick_csv(path, zero_share, n=200_000, seed=5):
+    """Prices where a ``zero_share`` of the n steps leave the price unchanged."""
+    rng = np.random.default_rng(seed)
+    moves = rng.permutation(n) >= int(zero_share * n)
+    steps = np.where(moves, rng.normal(0.0, 0.01, n), 0.0)
+    prices = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
+    PriceSeries(range(n + 1), prices).write_csv(path)
+    return path
+
+
+def test_analyze_mostly_zero_returns_names_fit_stage(tmp_path, capsys):
+    # tick data: with 99% of returns exactly zero, the nonzero ones
+    # standardize far outside the clip range, so the profile keeps only the
+    # middle and the edge bins and one side has too few points to fit
+    path = _tick_csv(tmp_path / "ticks99.csv", 0.99)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out99")]) == 1
+    assert "fit_dvc: need >= 2 profile points" in capsys.readouterr().err
+    path = _tick_csv(tmp_path / "ticks50.csv", 0.50)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out50")]) == 0
 
 
 def test_analyze_missing_input(tmp_path, capsys):

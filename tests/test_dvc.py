@@ -1,6 +1,4 @@
-import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -10,14 +8,13 @@ from hypothesis import strategies as st
 from volclust.cli import _write_csv
 from volclust.dvc import (
     AnalysisConfig,
-    ConditionalDistribution,
     DvcPoint,
     DvcProfile,
     PipelineError,
     analyze,
-    conditional_distribution,
     dvc_profile,
     fit_dvc,
+    transition_counts,
 )
 from volclust.ingest import ReturnSeries
 from volclust.surrogate import iid_gaussian
@@ -40,66 +37,44 @@ def brute_force_transitions(indices):
     return counts
 
 
-# --- conditional_distribution ---------------------------------------------
+# --- transition_counts ------------------------------------------------------
 
 
-def test_conditional_distribution_hand_example():
-    dist = conditional_distribution(sym([0, 1, 0, 1, 0, 2]), 0)
-    assert dist.support_count == 3
-    assert dist.probabilities[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert dist.probabilities[2] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert set(dist.probabilities) == {1, 2}
+def test_transition_counts_hand_example():
+    counts = transition_counts(sym([0, 1, 0, 1, 0, 2]))
+    # 0 -> 1 twice, 0 -> 2 once, 1 -> 0 twice; symbol 2 only ends the series
+    assert counts.tolist() == [[0, 2, 1], [2, 0, 0], [0, 0, 0]]
+    assert counts.dtype == np.int64
 
 
-def test_conditional_distribution_constant_series():
-    dist = conditional_distribution(sym([1, 1, 1, 1]), 1)
-    assert dist.support_count == 3
-    assert dist.probabilities[1] == 1.0
+def test_transition_counts_constant_series():
+    assert transition_counts(sym([1, 1, 1, 1])).tolist() == [[0, 0, 0], [0, 3, 0], [0, 0, 0]]
 
 
-def test_conditional_distribution_absent_symbol():
-    dist = conditional_distribution(sym([0, 1, 0, 1]), 2)
-    assert dist.support_count == 0
-    assert dict(dist.probabilities) == {}
+def test_transition_counts_ignores_final_position():
+    # the trailing 2 has no successor, so row 2 gets no support
+    counts = transition_counts(sym([0, 0, 2]))
+    assert counts.sum(axis=1).tolist() == [2, 0, 0]
+    assert counts[0].tolist() == [1, 0, 1]
 
 
-def test_conditional_distribution_ignores_final_position():
-    # the trailing 2 has no successor, so it contributes no support
-    dist = conditional_distribution(sym([0, 0, 2]), 2)
-    assert dist.support_count == 0
-
-
-def test_conditional_distribution_invalid_symbol():
-    with pytest.raises(ValueError, match="out of range"):
-        conditional_distribution(sym([0, 1]), 3)
-
-
-def test_conditional_distribution_validation():
-    with pytest.raises(ValueError, match="sum"):
-        ConditionalDistribution(0, {1: 0.4, 2: 0.4}, 5)
-    with pytest.raises(ValueError, match="empty"):
-        ConditionalDistribution(0, {1: 1.0}, 0)
+@pytest.mark.parametrize("indices", [[], [2]])
+def test_transition_counts_short_series_is_zero(indices):
+    counts = transition_counts(sym(indices))
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.zeros((3, 3), dtype=np.int64))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=60))
 @settings(max_examples=100)
-def test_conditional_distribution_matches_oracle(indices):
-    series = sym(indices)
-    oracle = brute_force_transitions(indices)
-    support_total = 0
-    for symbol in range(3):
-        dist = conditional_distribution(series, symbol)
-        row = oracle.get(symbol, {})
-        assert dist.support_count == sum(row.values())
-        support_total += dist.support_count
-        assert set(dist.probabilities) == set(row)
-        for successor, count in row.items():
-            assert dist.probabilities[successor] == pytest.approx(
-                count / dist.support_count, abs=1e-12
-            )
-        if dist.support_count > 0:
-            assert math.isclose(sum(dist.probabilities.values()), 1.0, abs_tol=1e-12)
-    assert support_total == len(indices) - 1
+def test_transition_counts_matches_oracle(indices):
+    expected = np.zeros((3, 3), dtype=np.int64)
+    for a, row in brute_force_transitions(indices).items():
+        for b, count in row.items():
+            expected[a, b] = count
+    counts = transition_counts(sym(indices))
+    assert np.array_equal(counts, expected)
+    assert counts.sum() == len(indices) - 1
 
 
 # --- dvc_profile ------------------------------------------------------------
@@ -140,20 +115,6 @@ def test_profile_matches_transition_matrix_oracle():
         assert point.s_value == pytest.approx(s_value, abs=1e-12)
         assert point.abs_mean == pytest.approx(abs_mean, abs=1e-12)
         assert point.count == count
-
-
-def test_profile_exhaustive_small_sequences():
-    # every sequence of length <= 6 over 3 symbols (the long version lives
-    # in the acceptance suite)
-    for length in range(2, 7):
-        for indices in itertools.product(range(3), repeat=length):
-            oracle = brute_force_transitions(list(indices))
-            series = sym(list(indices))
-            for symbol in range(3):
-                dist = conditional_distribution(series, symbol)
-                row = oracle.get(symbol, {})
-                assert dist.support_count == sum(row.values())
-                assert set(dist.probabilities) == set(row)
 
 
 def test_profile_validation():
