@@ -53,9 +53,7 @@ def test_transition_counts_constant_series():
 
 def test_transition_counts_ignores_final_position():
     # the trailing 2 has no successor, so row 2 gets no support
-    counts = transition_counts(sym([0, 0, 2]))
-    assert counts.sum(axis=1).tolist() == [2, 0, 0]
-    assert counts[0].tolist() == [1, 0, 1]
+    assert transition_counts(sym([0, 0, 2])).tolist() == [[1, 0, 1], [0, 0, 0], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("indices", [[], [2]])
