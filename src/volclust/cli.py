@@ -143,8 +143,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = GarchParams(omega=args.omega, alpha=args.alpha, beta=args.beta)
-    returns = simulate(params, args.n, args.seed)
-    prices = prices_from_returns(returns)
+    returns = _run_stage("simulate", simulate, params, args.n, args.seed)
+    prices = _run_stage("prices_from_returns", prices_from_returns, returns)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

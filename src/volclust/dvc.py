@@ -191,7 +191,7 @@ def _run_stage(stage, func, *args):
         return func(*args)
     except PipelineError:
         raise
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise PipelineError(stage, str(exc)) from exc
 
 

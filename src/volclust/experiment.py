@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import statistics
 
-from .dvc import AnalysisConfig, analyze
+from .dvc import AnalysisConfig, _run_stage, analyze
 from .garch import GarchParams, filter_returns, fit, simulate
 from .surrogate import shuffle
 
@@ -35,15 +35,16 @@ def run_experiment(
     rows, failures, not_converged = [], [], []
     for seed in seeds:
         try:
-            raw = simulate(params, n, seed)
+            raw = _run_stage("simulate", simulate, params, n, seed)
             raw_result = analyze(raw, config)
             if kind == "surrogate":
-                transformed = shuffle(raw, seed + SHUFFLE_SEED_OFFSET)
+                shuffle_seed = (seed + SHUFFLE_SEED_OFFSET) % 2**64
+                transformed = _run_stage("shuffle", shuffle, raw, shuffle_seed)
             else:
-                fitted = fit(raw)
+                fitted = _run_stage("fit", fit, raw)
                 if not fitted.converged:
                     not_converged.append(int(seed))
-                transformed = filter_returns(raw, fitted)
+                transformed = _run_stage("filter_returns", filter_returns, raw, fitted)
             transformed_result = analyze(transformed, config)
             rows.append(
                 {

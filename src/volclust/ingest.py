@@ -112,7 +112,9 @@ def _read_text(source: Source) -> str:
         data = source.read()
     else:
         raise TypeError(f"unsupported source type: {type(source).__name__}")
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    # Excel prefixes UTF-8 CSVs with a byte-order mark
+    return text.removeprefix("\ufeff")
 
 
 def load_prices(source: Source) -> PriceSeries:

@@ -27,8 +27,6 @@ def shuffle(returns: ReturnSeries, seed: int) -> ReturnSeries:
 
     Preserves the value multiset exactly; destroys temporal ordering.
     """
-    if len(returns) == 0:
-        raise ValueError("cannot shuffle an empty return series")
     return ReturnSeries.from_values(generator(seed).permutation(returns.values))
 
 

@@ -7,38 +7,35 @@ containing it, and a symbol's numeric value is its bin midpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ingest import ReturnSeries, _frozen_array
 
-_EDGE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BinningScheme:
-    """An equal-width partition: n_bins bins, n_bins+1 strictly increasing edges."""
+    """A partition of the real line by strictly increasing edges.
 
-    n_bins: int
+    The edges bound an odd number (>= 3) of bins; ``n_bins`` and the bin
+    midpoints ``centers`` are derived from them at construction.
+    """
+
     edges: np.ndarray
-    centers: np.ndarray
+    n_bins: int = field(init=False)
+    centers: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _frozen_array(self.edges, float))
-        object.__setattr__(self, "centers", _frozen_array(self.centers, float))
-        if self.n_bins < 3 or self.n_bins % 2 == 0:
-            raise ValueError(f"n_bins must be odd and >= 3, got {self.n_bins}")
-        if len(self.edges) != self.n_bins + 1:
-            raise ValueError("edges must have n_bins + 1 entries")
-        if len(self.centers) != self.n_bins:
-            raise ValueError("centers must have n_bins entries")
-        if not np.all(np.diff(self.edges) > 0):
+        edges = _frozen_array(self.edges, float)
+        n_bins = len(edges) - 1
+        if n_bins < 3 or n_bins % 2 == 0:
+            raise ValueError(f"n_bins must be odd and >= 3, got {n_bins}")
+        if not np.all(np.diff(edges) > 0):
             raise ValueError("edges must be strictly increasing")
-        midpoints = 0.5 * (self.edges[:-1] + self.edges[1:])
-        scale = max(1.0, float(np.max(np.abs(self.edges))))
-        if not np.allclose(self.centers, midpoints, rtol=0.0, atol=_EDGE_TOL * scale):
-            raise ValueError("centers must be the bin midpoints")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "n_bins", n_bins)
+        object.__setattr__(self, "centers", _frozen_array(0.5 * (edges[:-1] + edges[1:]), float))
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,7 @@ def build_bins(returns: ReturnSeries, n_bins: int, clip_sigmas: float) -> Binnin
     upper = np.linspace(span / n_bins, span, (n_bins + 1) // 2)
     offsets = np.concatenate([-upper[::-1], upper])
     mean = 0.0 if abs(returns.mean) <= 1e-12 * returns.stdev else returns.mean
-    edges = mean + offsets
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return BinningScheme(n_bins=n_bins, edges=edges, centers=centers)
+    return BinningScheme(edges=mean + offsets)
 
 
 def symbolize(returns: ReturnSeries, scheme: BinningScheme) -> SymbolicSeries:
@@ -94,6 +89,6 @@ def symbolize(returns: ReturnSeries, scheme: BinningScheme) -> SymbolicSeries:
     bin 0, values at or above the last edge clip into bin n_bins - 1, so
     every finite return gets exactly one symbol.
     """
-    idx = np.searchsorted(scheme.edges, returns.values, side="right") - 1
-    np.clip(idx, 0, scheme.n_bins - 1, out=idx)
+    # the count of inner edges at or below a value is its bin index
+    idx = np.searchsorted(scheme.edges[1:-1], returns.values, side="right")
     return SymbolicSeries(indices=idx, scheme=scheme)

@@ -29,11 +29,7 @@ GARCH = GarchParams(omega=0.05, alpha=0.10, beta=0.85)
 N_LONG = 200_000
 N_FIT = 50_000
 
-THREE_SYMBOL_SCHEME = BinningScheme(
-    n_bins=3,
-    edges=np.array([-1.5, -0.5, 0.5, 1.5]),
-    centers=np.array([-1.0, 0.0, 1.0]),
-)
+THREE_SYMBOL_SCHEME = BinningScheme(edges=np.array([-1.5, -0.5, 0.5, 1.5]))
 
 
 def report(number, name, ok, detail):
@@ -189,11 +185,7 @@ def test_criterion_6a_oracle_equivalence_exhaustive():
 
 def test_criterion_6b_oracle_equivalence_randomized():
     rng = np.random.default_rng(987654321)
-    scheme = BinningScheme(
-        n_bins=41,
-        edges=np.linspace(-3.0, 3.0, 42),
-        centers=0.5 * (np.linspace(-3.0, 3.0, 42)[:-1] + np.linspace(-3.0, 3.0, 42)[1:]),
-    )
+    scheme = BinningScheme(edges=np.linspace(-3.0, 3.0, 42))
     for _ in range(1000):
         indices = rng.integers(0, 41, size=10_000)
         series = SymbolicSeries(indices=indices, scheme=scheme)

@@ -48,6 +48,17 @@ def test_simulate_rejects_nonstationary_params(tmp_path, capsys):
     assert "stationarity" in capsys.readouterr().err
 
 
+def test_simulate_failures_name_their_stage(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    code = main(["simulate", "--omega", "1e308", "--alpha", "0.1", "--beta", "0.85",
+                 "--n", "100", "--seed", "1", "--out", out])
+    assert code == 1
+    assert "error: simulate: returns must be finite" in capsys.readouterr().err
+    # the README parameters overflow the price path for this seed
+    assert main(["simulate", *PARAMS, "--n", "200000", "--seed", "4", "--out", out]) == 1
+    assert "error: prices_from_returns: simulated prices exceed" in capsys.readouterr().err
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     a = _simulate_csv(tmp_path, n=1_000, seed=3, name="a.csv")
     b = _simulate_csv(tmp_path, n=1_000, seed=3, name="b.csv")
@@ -132,6 +143,9 @@ def test_analyze_mostly_zero_returns_names_fit_stage(tmp_path, capsys):
 def test_analyze_missing_input(tmp_path, capsys):
     code = main(["analyze", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")])
     assert code == 1
+    assert "error: load_prices: [Errno" in capsys.readouterr().err
+    assert main(["analyze", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert "error: load_prices: [Errno" in capsys.readouterr().err
 
 
 def test_analyze_flag_and_config_merge(tmp_path):
@@ -230,6 +244,12 @@ def test_experiment_records_per_seed_failures(tmp_path):
     assert payload["rows"] == []
     assert [f["seed"] for f in payload["failures"]] == [1, 2]
     assert "dvc_profile" in payload["failures"][0]["error"]
+    # a series long enough to analyze but too short to fit fails at fit
+    code = main(["experiment", "--kind", "garch-filter", "--n", "400", "--bins", "5",
+                 "--min-count", "1", "--seeds", "1", "--out", str(out)])
+    assert code == 1
+    (failure,) = json.loads((out / "experiment.json").read_text())["failures"]
+    assert failure["error"].startswith("fit: need at least 500 returns")
 
 
 def test_experiment_rejects_bad_seeds(tmp_path, capsys):
@@ -242,6 +262,14 @@ def test_experiment_rejects_bad_seeds(tmp_path, capsys):
 def test_run_experiment_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         run_experiment("fourier", GarchParams(0.05, 0.1, 0.85), 1000, [1], AnalysisConfig())
+
+
+def test_run_experiment_shuffles_the_largest_seed():
+    # the shuffle seed wraps around 2**64 rather than leaving the seed range
+    payload, _ = run_experiment("surrogate", GarchParams(0.05, 0.1, 0.85), 5000,
+                                [2**64 - 1], AnalysisConfig())
+    assert payload["failures"] == []
+    assert [row["seed"] for row in payload["rows"]] == [2**64 - 1]
 
 
 # --- report ---------------------------------------------------------------------

@@ -138,6 +138,15 @@ def test_lf_and_exported_files_take_the_vectorized_path(tmp_path, monkeypatch):
     assert np.array_equal(parsed.prices, exported.prices)
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_load_skips_utf8_byte_order_mark(eol):
+    body = eol.join(["timestamp,price", "1,100.0", "2,101.5", ""]).encode()
+    plain = load_prices(body)
+    with_bom = load_prices(b"\xef\xbb\xbf" + body)
+    assert with_bom.timestamps == plain.timestamps
+    assert np.array_equal(with_bom.prices, plain.prices)
+
+
 @pytest.mark.parametrize(
     "numeral, outcome",
     [

@@ -99,14 +99,10 @@ def test_symbolize_agrees_with_linear_scan_on_uniforms():
 
 def test_scheme_validation():
     with pytest.raises(ValueError, match="increasing"):
-        BinningScheme(n_bins=3, edges=np.array([0.0, 1.0, 1.0, 2.0]),
-                      centers=np.array([0.5, 1.0, 1.5]))
-    with pytest.raises(ValueError, match="midpoints"):
-        BinningScheme(n_bins=3, edges=np.array([0.0, 1.0, 2.0, 3.0]),
-                      centers=np.array([0.5, 1.5, 2.0]))
+        BinningScheme(edges=np.array([0.0, 1.0, 1.0, 2.0]))
     with pytest.raises(ValueError, match="n_bins"):
-        BinningScheme(n_bins=2, edges=np.array([0.0, 1.0, 2.0]),
-                      centers=np.array([0.5, 1.5]))
+        BinningScheme(edges=np.array([0.0, 1.0, 2.0]))
+    assert BinningScheme(edges=[0, 1, 2, 4]).centers.tolist() == [0.5, 1.5, 3.0]
 
 
 def test_symbolic_series_validation():
