@@ -120,20 +120,23 @@ def _resolve_config(args) -> AnalysisConfig:
 
 
 def cmd_analyze(args) -> int:
-    config = _resolve_config(args)
+    config = _run_stage("config", _resolve_config, args)
     prices = _run_stage("load_prices", load_prices, args.input)
     returns = _run_stage("compute_returns", compute_returns, prices)
     result = analyze(returns, config)
 
+    def write(out: Path) -> None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "result.json").write_text(result.to_json(), encoding="utf-8")
+        _write_csv(out / "profile.csv", ("s_value", "abs_mean", "count"),
+                   ((p.s_value, p.abs_mean, p.count) for p in result.profile.points))
+        _write_json(
+            out / "manifest.json",
+            _manifest("analyze", config.to_json_dict(), [], [args.input]),
+        )
+
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "result.json").write_text(result.to_json(), encoding="utf-8")
-    _write_csv(out / "profile.csv", ("s_value", "abs_mean", "count"),
-               ((p.s_value, p.abs_mean, p.count) for p in result.profile.points))
-    _write_json(
-        out / "manifest.json",
-        _manifest("analyze", config.to_json_dict(), [], [args.input]),
-    )
+    _run_stage("write_outputs", write, out)
     print(
         f"dvc_p={result.dvc_p:.6f} dvc_n={result.dvc_n:.6f} "
         f"points={result.n_points_pos}+{result.n_points_neg} -> {out}"
@@ -146,34 +149,39 @@ def cmd_simulate(args) -> int:
     returns = _run_stage("simulate", simulate, params, args.n, args.seed)
     prices = _run_stage("prices_from_returns", prices_from_returns, returns)
 
+    def write(out: Path) -> None:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        prices.write_csv(out)
+        config = {**params.to_json_dict(), "n": args.n}
+        _write_json(
+            Path(f"{out}.manifest.json"),
+            _manifest("simulate", config, [args.seed], []),
+        )
+
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    prices.write_csv(out)
-    config = {**params.to_json_dict(), "n": args.n}
-    _write_json(
-        Path(f"{out}.manifest.json"),
-        _manifest("simulate", config, [args.seed], []),
-    )
+    _run_stage("write_outputs", write, out)
     print(f"wrote {len(prices)} prices -> {out}")
     return 0
 
 
 def cmd_experiment(args) -> int:
     params = GarchParams(omega=args.omega, alpha=args.alpha, beta=args.beta)
-    config = _resolve_config(args)
+    config = _run_stage("config", _resolve_config, args)
     seeds = _parse_seeds(args.seeds)
     payload, not_converged = run_experiment(args.kind, params, args.n, seeds, config)
     for seed in not_converged:
         print(f"seed {seed}: GARCH fit did not converge", file=sys.stderr)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "experiment.json", payload)
-    _write_json(
-        out / "manifest.json",
-        _manifest("experiment", {**payload["params"], "kind": args.kind,
-                                 "n": args.n, **config.to_json_dict()}, seeds, []),
-    )
+    def write(out: Path) -> None:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "experiment.json", payload)
+        _write_json(
+            out / "manifest.json",
+            _manifest("experiment", {**payload["params"], "kind": args.kind,
+                                     "n": args.n, **config.to_json_dict()}, seeds, []),
+        )
+
+    _run_stage("write_outputs", write, Path(args.out))
     for failure in payload["failures"]:
         print(f"seed {failure['seed']} failed: {failure['error']}", file=sys.stderr)
     if not payload["rows"]:
@@ -219,11 +227,13 @@ def cmd_report(args) -> int:
             rows.append({**dict.fromkeys(REPORT_COLUMNS, ""), "input": str(path),
                          "status": f"error: {exc}"})
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "report.csv", REPORT_COLUMNS,
-               ([row[col] for col in REPORT_COLUMNS] for row in rows))
-    _write_json(out / "manifest.json", _manifest("report", {}, [], list(args.inputs)))
+    def write(out: Path) -> None:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_csv(out / "report.csv", REPORT_COLUMNS,
+                   ([row[col] for col in REPORT_COLUMNS] for row in rows))
+        _write_json(out / "manifest.json", _manifest("report", {}, [], list(args.inputs)))
+
+    _run_stage("write_outputs", write, Path(args.out))
 
     widths = {col: max(len(col), *(len(_cell(row[col])) for row in rows)) for col in REPORT_COLUMNS}
     print("  ".join(col.ljust(widths[col]) for col in REPORT_COLUMNS))

@@ -27,11 +27,6 @@ def run_experiment(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    if kind == "garch-filter":
-        # fit needs scipy; loaded here, before the first series is simulated,
-        # rather than inside the first fit, the fits page-fault less (130 k
-        # against 173 k minor faults for 5 seeds at n=2e5)
-        import scipy.signal  # noqa: F401
     rows, failures, not_converged = [], [], []
     for seed in seeds:
         try:

@@ -2,12 +2,13 @@
 
 Model: r_t = sigma_t * eps_t with eps_t iid standard normal and
 sigma^2_t = omega + alpha * r^2_{t-1} + beta * sigma^2_{t-1}, covariance
-stationary when alpha + beta < 1. Simulation initializes the recursion at
-the unconditional variance omega / (1 - alpha - beta) and discards a
-burn-in; likelihood evaluation initializes at the sample variance of the
-data. Fitting runs L-BFGS-B on the analytic score, over an unconstrained
-reparameterization that keeps the parameters inside the stationarity
-region by construction.
+stationary when alpha + beta < 1 (Bollerslev 1986). Simulation initializes
+the recursion at the unconditional variance omega / (1 - alpha - beta),
+runs it as a blocked prefix scan over the drawn noise with numpy alone (no
+scipy), and discards a burn-in; likelihood evaluation initializes at the
+sample variance of the data. Fitting runs L-BFGS-B on the analytic score,
+over an unconstrained reparameterization that keeps the parameters inside
+the stationarity region by construction.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 SIMULATION_BURN_IN = 1000
 MIN_FIT_LENGTH = 500
 MAX_FIT_ITERATIONS = 2000
+_SCAN_BLOCK = 64  # steps per block of simulate's prefix scan
 
 
 @dataclass(frozen=True)
@@ -92,24 +94,50 @@ def simulate(params: GarchParams, n: int, seed: int) -> ReturnSeries:
     """Simulate n returns after discarding a 1000-step burn-in.
 
     sigma^2_0 starts at the unconditional variance; deterministic per seed.
+    Once the noise is drawn, sigma^2_t = omega + a_t * sigma^2_{t-1} with
+    a_t = alpha * eps^2_{t-1} + beta is a linear recurrence, and affine maps
+    compose, so it runs as a blocked prefix scan (Blelloch 1990) rather than
+    a step at a time. The result matches the step-by-step recursion to
+    rounding (about 1e-15 relative), not bit for bit.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     total = n + SIMULATION_BURN_IN
-    # read the noise through a memoryview, which yields plain floats as a list
-    # would, rather than hold a float object per step beside the path's own:
-    # with both lists, peak RSS at n=1e6 came out 136 or 144 MB by seed
-    eps = memoryview(generator(seed).standard_normal(total))
-    omega, alpha, beta = params.omega, params.alpha, params.beta
-    out = [0.0] * total
-    v = params.unconditional_variance
-    r = math.sqrt(v) * eps[0]
-    out[0] = r
-    for t in range(1, total):
-        v = omega + alpha * r * r + beta * v
-        r = math.sqrt(v) * eps[t]
-        out[t] = r
-    return ReturnSeries.from_values(out[SIMULATION_BURN_IN:])
+    eps = generator(seed).standard_normal(total)
+    v0 = params.unconditional_variance
+    steps = total - 1
+    blocks = -(-steps // _SCAN_BLOCK)
+    # an overflowing path turns into inf or nan here and fails in from_values
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a[j, k] is a_t for step t = j * _SCAN_BLOCK + k + 1; the padding is unused
+        a = np.zeros(blocks * _SCAN_BLOCK)
+        np.square(eps[:steps], out=a[:steps])
+        a[:steps] *= params.alpha
+        a[:steps] += params.beta
+        a = a.reshape(blocks, _SCAN_BLOCK)
+        # every block's recursion from sigma^2 = 0, all blocks at once
+        v = np.empty_like(a)
+        v[:, 0] = params.omega
+        for k in range(1, _SCAN_BLOCK):
+            np.multiply(a[:, k], v[:, k - 1], out=v[:, k])
+            v[:, k] += params.omega
+        # a becomes the product of the block's a's up to each step, so the
+        # true sigma^2 is v plus that product times the previous block's end
+        np.cumprod(a, axis=1, out=a)
+        ends, growth = v[:, -1].tolist(), a[:, -1].tolist()
+        carry = [0.0] * blocks
+        c = v0
+        for j in range(blocks):
+            carry[j] = c
+            c = ends[j] + growth[j] * c
+        a *= np.array(carry)[:, None]
+        v += a
+        del a
+        sigma = v.reshape(-1)[:steps]
+        np.sqrt(sigma, out=sigma)
+        eps[1:] *= sigma
+        eps[0] *= math.sqrt(v0)
+    return ReturnSeries.from_values(eps[SIMULATION_BURN_IN:])
 
 
 def variance_path(

@@ -177,6 +177,27 @@ def test_analyze_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_and_output_failures_name_their_stage(tmp_path, capsys):
+    csv_path = _simulate_csv(tmp_path, n=2_000)
+    code = main(["analyze", str(csv_path), "--out", str(tmp_path / "o"),
+                 "--config", str(tmp_path / "nope.cfg")])
+    assert code == 1
+    assert "error: config: [Errno 2]" in capsys.readouterr().err
+    code = main(["experiment", "--kind", "surrogate", "--n", "2000", "--seeds", "1",
+                 "--out", str(tmp_path / "e"), "--config", str(tmp_path / "nope.cfg")])
+    assert code == 1
+    assert "error: config: [Errno 2]" in capsys.readouterr().err
+    # --out naming an existing file, not a directory
+    code = main(["analyze", str(csv_path), "--out", str(csv_path), "--bins", "5",
+                 "--min-count", "1"])
+    assert code == 1
+    assert "error: write_outputs: [Errno 17]" in capsys.readouterr().err
+    code = main(["experiment", "--kind", "surrogate", "--n", "2000", "--seeds", "1",
+                 "--bins", "5", "--min-count", "1", "--out", str(csv_path)])
+    assert code == 1
+    assert "error: write_outputs: [Errno 17]" in capsys.readouterr().err
+
+
 # --- experiment -----------------------------------------------------------------
 
 

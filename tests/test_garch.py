@@ -19,7 +19,7 @@ from volclust.garch import (
     variance_path,
 )
 from volclust.ingest import ReturnSeries
-from volclust.surrogate import iid_gaussian
+from volclust.surrogate import generator, iid_gaussian
 
 TRUE = GarchParams(omega=0.05, alpha=0.10, beta=0.85)
 
@@ -74,9 +74,43 @@ def test_simulate_is_seed_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_simulate_keeps_one_float_object_per_step():
-    # the path's floats and a few arrays come to about 71 bytes a step;
-    # listing the noise as floats as well comes to about 95
+def _simulate_step_by_step(params, n, seed):
+    # the plain recursion that simulate's prefix scan replaces
+    total = n + garch.SIMULATION_BURN_IN
+    eps = generator(seed).standard_normal(total).tolist()
+    out = [0.0] * total
+    v = params.unconditional_variance
+    r = math.sqrt(v) * eps[0]
+    out[0] = r
+    for t in range(1, total):
+        v = params.omega + params.alpha * r * r + params.beta * v
+        r = math.sqrt(v) * eps[t]
+        out[t] = r
+    return np.array(out[garch.SIMULATION_BURN_IN:])
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 5_000])
+@pytest.mark.parametrize(
+    "params",
+    [
+        TRUE,
+        GarchParams(omega=0.05, alpha=0.10, beta=0.0),  # block products underflow
+        GarchParams(omega=0.05, alpha=0.0, beta=0.85),  # constant sigma^2
+        GarchParams(omega=0.05, alpha=0.10, beta=0.90 - 1e-9),  # near-integrated
+        GarchParams(omega=0.05, alpha=0.99, beta=0.0),  # large eps^2 spikes
+    ],
+    ids=["true", "beta0", "alpha0", "persistent", "spiky"],
+)
+def test_simulate_matches_step_by_step_recursion(params, n):
+    expected = _simulate_step_by_step(params, n, 17)
+    got = simulate(params, n, 17).values
+    assert len(got) == n
+    assert np.max(np.abs(got - expected) / np.abs(expected)) < 1e-13
+
+
+def test_simulate_peak_memory_is_a_few_arrays():
+    # the noise, the block coefficients, the variances and the series's own
+    # copy come to about 33 bytes a step; a float object per step came to 71
     n = 100_000
     tracemalloc.start()
     try:
@@ -84,7 +118,7 @@ def test_simulate_keeps_one_float_object_per_step():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 85 * (n + garch.SIMULATION_BURN_IN)
+    assert peak < 40 * (n + garch.SIMULATION_BURN_IN)
 
 
 def test_simulate_validates_inputs():
