@@ -145,7 +145,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = GarchParams(omega=args.omega, alpha=args.alpha, beta=args.beta)
+    params = _run_stage("config", GarchParams, args.omega, args.alpha, args.beta)
     returns = _run_stage("simulate", simulate, params, args.n, args.seed)
     prices = _run_stage("prices_from_returns", prices_from_returns, returns)
 
@@ -165,9 +165,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    params = GarchParams(omega=args.omega, alpha=args.alpha, beta=args.beta)
+    params = _run_stage("config", GarchParams, args.omega, args.alpha, args.beta)
     config = _run_stage("config", _resolve_config, args)
-    seeds = _parse_seeds(args.seeds)
+    seeds = _run_stage("config", _parse_seeds, args.seeds)
     payload, not_converged = run_experiment(args.kind, params, args.n, seeds, config)
     for seed in not_converged:
         print(f"seed {seed}: GARCH fit did not converge", file=sys.stderr)

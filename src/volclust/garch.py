@@ -3,12 +3,12 @@
 Model: r_t = sigma_t * eps_t with eps_t iid standard normal and
 sigma^2_t = omega + alpha * r^2_{t-1} + beta * sigma^2_{t-1}, covariance
 stationary when alpha + beta < 1 (Bollerslev 1986). Simulation initializes
-the recursion at the unconditional variance omega / (1 - alpha - beta),
-runs it as a blocked prefix scan over the drawn noise with numpy alone (no
-scipy), and discards a burn-in; likelihood evaluation initializes at the
-sample variance of the data. Fitting runs L-BFGS-B on the analytic score,
-over an unconstrained reparameterization that keeps the parameters inside
-the stationarity region by construction.
+the recursion at the unconditional variance omega / (1 - alpha - beta) and
+discards a burn-in; likelihood evaluation initializes at the sample variance
+of the data. Simulation, the variance path and the score all run the
+recursion through one numpy prefix scan, ``_affine_scan``. Fitting runs
+L-BFGS-B (scipy's only use here) on the analytic score, over an unconstrained
+reparameterization that keeps the parameters stationary by construction.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 SIMULATION_BURN_IN = 1000
 MIN_FIT_LENGTH = 500
 MAX_FIT_ITERATIONS = 2000
-_SCAN_BLOCK = 64  # steps per block of simulate's prefix scan
+_SCAN_BLOCK = 64  # steps per block of _affine_scan
 
 
 @dataclass(frozen=True)
@@ -90,77 +90,77 @@ class GarchFit:
         }
 
 
+def _blocked(x) -> np.ndarray:
+    """x[i] at [i % 64, i // 64], the last column padded; a scalar is one column."""
+    x = np.atleast_1d(x)
+    full = len(x) // _SCAN_BLOCK
+    out = np.empty((_SCAN_BLOCK, -(-len(x) // _SCAN_BLOCK)))
+    out[:, :full] = x[: full * _SCAN_BLOCK].reshape(full, _SCAN_BLOCK).T
+    out[:, full:] = np.resize(x[full * _SCAN_BLOCK :], (_SCAN_BLOCK, out.shape[1] - full))
+    return out
+
+
+def _affine_scan(first: float, coef, offset) -> np.ndarray:
+    """y[0] = first and y[t] = offset[t-1] + coef[t-1] * y[t-1] for t = 1..steps.
+
+    ``coef`` and ``offset`` are float arrays of the steps' values or scalars.
+    Affine maps compose, so this is a blocked prefix scan (Blelloch 1990):
+    all 64-step blocks run from zero at once, one contiguous row per step,
+    then one pass over the block ends carries y across them. It matches the
+    step-by-step loop to about 1e-15 relative; overflow gives inf or nan.
+    """
+    (steps,) = np.broadcast_shapes(np.shape(coef), np.shape(offset))
+    blocks = -(-steps // _SCAN_BLOCK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rebinding frees a caller's temporary; v runs each block's recursion in place
+        coef, v = _blocked(coef), _blocked(np.broadcast_to(offset, steps))
+        for k in range(1, _SCAN_BLOCK):
+            v[k] += coef[k] * v[k - 1]
+            coef[k] *= coef[k - 1]
+        c, carry = first, []
+        for end, growth in zip(v[-1].tolist(), np.broadcast_to(coef[-1], blocks).tolist()):
+            carry.append(c)
+            c = end + growth * c
+        y = np.empty(blocks * _SCAN_BLOCK + 1)
+        y[0] = first
+        # y = v + carry * running product, written back in time order
+        steps_of_blocks = y[1:].reshape(blocks, _SCAN_BLOCK)
+        np.multiply(coef.T, np.array(carry)[:, None], out=steps_of_blocks)
+        steps_of_blocks += v.T
+    return y[: steps + 1]
+
+
 def simulate(params: GarchParams, n: int, seed: int) -> ReturnSeries:
     """Simulate n returns after discarding a 1000-step burn-in.
 
     sigma^2_0 starts at the unconditional variance; deterministic per seed.
-    Once the noise is drawn, sigma^2_t = omega + a_t * sigma^2_{t-1} with
-    a_t = alpha * eps^2_{t-1} + beta is a linear recurrence, and affine maps
-    compose, so it runs as a blocked prefix scan (Blelloch 1990) rather than
-    a step at a time. The result matches the step-by-step recursion to
-    rounding (about 1e-15 relative), not bit for bit.
+    Once the noise is drawn, sigma^2_t = omega + (alpha * eps^2_{t-1} +
+    beta) * sigma^2_{t-1} is affine, so ``_affine_scan`` runs it; an
+    overflowing path turns into inf or nan and fails in ``from_values``.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    total = n + SIMULATION_BURN_IN
-    eps = generator(seed).standard_normal(total)
-    v0 = params.unconditional_variance
-    steps = total - 1
-    blocks = -(-steps // _SCAN_BLOCK)
-    # an overflowing path turns into inf or nan here and fails in from_values
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a[j, k] is a_t for step t = j * _SCAN_BLOCK + k + 1; the padding is unused
-        a = np.zeros(blocks * _SCAN_BLOCK)
-        np.square(eps[:steps], out=a[:steps])
-        a[:steps] *= params.alpha
-        a[:steps] += params.beta
-        a = a.reshape(blocks, _SCAN_BLOCK)
-        # every block's recursion from sigma^2 = 0, all blocks at once
-        v = np.empty_like(a)
-        v[:, 0] = params.omega
-        for k in range(1, _SCAN_BLOCK):
-            np.multiply(a[:, k], v[:, k - 1], out=v[:, k])
-            v[:, k] += params.omega
-        # a becomes the product of the block's a's up to each step, so the
-        # true sigma^2 is v plus that product times the previous block's end
-        np.cumprod(a, axis=1, out=a)
-        ends, growth = v[:, -1].tolist(), a[:, -1].tolist()
-        carry = [0.0] * blocks
-        c = v0
-        for j in range(blocks):
-            carry[j] = c
-            c = ends[j] + growth[j] * c
-        a *= np.array(carry)[:, None]
-        v += a
-        del a
-        sigma = v.reshape(-1)[:steps]
-        np.sqrt(sigma, out=sigma)
-        eps[1:] *= sigma
-        eps[0] *= math.sqrt(v0)
+    eps = generator(seed).standard_normal(n + SIMULATION_BURN_IN)
+    variances = _affine_scan(params.unconditional_variance,
+                             np.square(eps[:-1]) * params.alpha + params.beta, params.omega)
+    eps *= np.sqrt(variances, out=variances)
     return ReturnSeries.from_values(eps[SIMULATION_BURN_IN:])
 
 
 def variance_path(
     params: GarchParams, values: np.ndarray, initial_variance: float | None = None
 ) -> np.ndarray:
-    """Conditional variance recursion along observed returns.
+    """Conditional variance recursion along observed returns, by ``_affine_scan``.
 
     sigma^2_0 defaults to the sample variance of the data (n-1 denominator).
     """
-    # scipy is imported here and in fit, so importing the package does not pay for it
-    from scipy.signal import lfilter
-
     r = np.asarray(values, dtype=float)
     if len(r) < 2:
         raise ValueError(f"need at least 2 returns, got {len(r)}")
     v0 = float(np.var(r, ddof=1)) if initial_variance is None else float(initial_variance)
     if not v0 > 0.0:
         raise ValueError(f"initial variance must be positive, got {v0}")
-    # y_t = x_t + beta * y_{t-1} with x_t = omega + alpha * r^2_{t-1}, y_0 = v0
-    x = np.empty_like(r)
-    x[0] = v0
-    x[1:] = params.omega + params.alpha * r[:-1] ** 2
-    return lfilter([1.0], [1.0, -params.beta], x)
+    return _affine_scan(v0, params.beta, params.omega + params.alpha * np.square(r[:-1]))
 
 
 def gaussian_log_likelihood(values: np.ndarray, variances: np.ndarray) -> float:
@@ -214,20 +214,18 @@ def _nll_and_score(
 
     ``squares`` is ``values ** 2`` and ``v0`` the fixed sigma^2_0. The score
     is the adjoint of the variance recursion: with g_t = d nll / d sigma^2_t,
-    lambda_k = sum_{t >= k} beta^(t-k) g_t is one first-order filter run
-    backwards, and d nll / d(omega, alpha, beta) = sum_k lambda_k *
+    lambda_k = g_k + beta * lambda_{k+1} is ``_affine_scan`` run backwards,
+    and d nll / d(omega, alpha, beta) = sum_k lambda_k *
     (1, r^2_{k-1}, sigma^2_{k-1}) over k >= 1. The chain rule through
     ``_unpack`` gives zero where one of its clamps is active.
     """
-    from scipy.signal import lfilter
-
     params = _unpack(theta)
     variances = variance_path(params, values, initial_variance=v0)
     nll = -gaussian_log_likelihood(values, variances)
     if not math.isfinite(nll):
         return math.inf, np.zeros(3)
     g = 0.5 * (1.0 - squares / variances) / variances
-    lam = lfilter([1.0], [1.0, -params.beta], g[:0:-1])[::-1]
+    lam = _affine_scan(g[-1], params.beta, g[-2:0:-1])[::-1]
     # np.sum(a * b), not a BLAS dot: far faster on these long vectors
     d_omega = float(np.sum(lam))
     d_alpha = float(np.sum(lam * squares[:-1]))

@@ -45,7 +45,7 @@ def test_simulate_rejects_nonstationary_params(tmp_path, capsys):
     code = main(["simulate", "--omega", "0.05", "--alpha", "0.5", "--beta", "0.5",
                  "--n", "100", "--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 1
-    assert "stationarity" in capsys.readouterr().err
+    assert "error: config: alpha + beta must be < 1 for stationarity" in capsys.readouterr().err
 
 
 def test_simulate_failures_name_their_stage(tmp_path, capsys):
@@ -277,7 +277,7 @@ def test_experiment_rejects_bad_seeds(tmp_path, capsys):
     code = main(["experiment", "--kind", "surrogate", "--n", "5000",
                  "--seeds", "1,x", "--out", str(tmp_path / "e")])
     assert code == 1
-    assert "seeds" in capsys.readouterr().err
+    assert "error: config: seeds must be comma-separated integers" in capsys.readouterr().err
 
 
 def test_run_experiment_rejects_unknown_kind():
@@ -391,7 +391,7 @@ def test_benchmark_tracer_hooks_resolve():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy serves only the GARCH fit and evaluate, so a fresh interpreter
+    # scipy serves only the GARCH fit's optimizer, so a fresh interpreter
     # importing the CLI must not load it
     src = str(Path(volclust.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

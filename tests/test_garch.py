@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volclust
 from volclust import garch
 from volclust.dvc import analyze
 from volclust.garch import (
@@ -141,6 +146,36 @@ def test_variance_path_satisfies_recursion():
     assert np.all(v > 0.0)
 
 
+def _variance_step_by_step(params, values, v0):
+    # the per-step recursion, in extended precision: near beta = 1 a float64
+    # loop drifts by about 1e-13 relative over 5000 steps on its own
+    omega, alpha, beta = (np.longdouble(x) for x in (params.omega, params.alpha, params.beta))
+    r = values.astype(np.longdouble)
+    v = [np.longdouble(v0)]
+    for t in range(1, len(r)):
+        v.append(omega + alpha * r[t - 1] * r[t - 1] + beta * v[-1])
+    return np.array(v, dtype=np.longdouble)
+
+
+@pytest.mark.parametrize("n", [2, 64, 65, 5_000])
+@pytest.mark.parametrize(
+    "params",
+    [
+        TRUE,
+        GarchParams(omega=0.05, alpha=0.10, beta=0.0),
+        GarchParams(omega=0.05, alpha=0.0, beta=0.85),
+        GarchParams(omega=0.05, alpha=0.0, beta=garch._MAX_PERSISTENCE),  # IGARCH boundary
+    ],
+    ids=["true", "beta0", "alpha0", "clamp"],
+)
+def test_variance_path_matches_step_by_step_recursion(params, n):
+    values = simulate(TRUE, n, 3).values
+    expected = _variance_step_by_step(params, values, np.var(values, ddof=1))
+    got = variance_path(params, values)
+    assert len(got) == n
+    assert np.max(np.abs(got - expected) / expected) < 1e-13
+
+
 def test_nll_closed_form_when_constant_variance():
     rng = np.random.default_rng(31)
     series = ReturnSeries.from_values(rng.normal(0.0, 0.7, size=10_000))
@@ -228,15 +263,15 @@ def _theta(params: GarchParams) -> np.ndarray:
     )
 
 
-@pytest.mark.parametrize(
-    "theta",
-    [
-        _theta(TRUE),
-        _theta(GarchParams(omega=0.05, alpha=1e-4, beta=0.85)),  # share near 0
-        _theta(GarchParams(omega=0.001, alpha=0.10, beta=0.899)),  # persistence near 1
-        np.array([0.0, 40.0, -3.0]),  # persistence clamped at 1 - 1e-12
-    ],
-)
+SCORE_POINTS = [
+    _theta(TRUE),
+    _theta(GarchParams(omega=0.05, alpha=1e-4, beta=0.85)),  # share near 0
+    _theta(GarchParams(omega=0.001, alpha=0.10, beta=0.899)),  # persistence near 1
+    np.array([0.0, 40.0, -3.0]),  # persistence clamped at 1 - 1e-12
+]
+
+
+@pytest.mark.parametrize("theta", SCORE_POINTS)
 def test_score_matches_central_differences(theta):
     series = simulate(TRUE, 5_000, 3)
     values = series.values
@@ -249,6 +284,39 @@ def test_score_matches_central_differences(theta):
         down = -evaluate(garch._unpack(theta - step), series).log_likelihood
         central = (up - down) / 2e-5
         assert abs(score[i] - central) <= 1e-5 * abs(central)
+
+
+def _score_step_by_step(theta, values):
+    # sigma^2 forwards and lambda_k = g_k + beta * lambda_{k+1} backwards, one
+    # step at a time, then the chain rule through _unpack
+    params = garch._unpack(theta)
+    r = values.tolist()
+    v = [float(np.var(values, ddof=1))]
+    for t in range(1, len(r)):
+        v.append(params.omega + params.alpha * r[t - 1] ** 2 + params.beta * v[-1])
+    lam, acc = [0.0] * len(r), 0.0
+    for k in range(len(r) - 1, 0, -1):
+        acc = 0.5 * (1.0 - r[k] ** 2 / v[k]) / v[k] + params.beta * acc
+        lam[k] = acc
+    d_omega = math.fsum(lam[1:])
+    d_alpha = math.fsum(lam[k] * r[k - 1] ** 2 for k in range(1, len(r)))
+    d_beta = math.fsum(lam[k] * v[k - 1] for k in range(1, len(r)))
+    persistence, share = params.alpha + params.beta, garch._sigmoid(theta[2])
+    clamped = persistence >= garch._MAX_PERSISTENCE
+    d_logit = 0.0 if clamped else garch._sigmoid(theta[1]) * garch._sigmoid(-theta[1])
+    return np.array([
+        params.omega * d_omega,
+        d_logit * (share * d_alpha + (1.0 - share) * d_beta),
+        persistence * share * garch._sigmoid(-theta[2]) * (d_alpha - d_beta),
+    ])
+
+
+@pytest.mark.parametrize("theta", SCORE_POINTS)
+def test_score_matches_step_by_step_adjoint(theta):
+    values = simulate(TRUE, 5_000, 3).values
+    _, score = garch._nll_and_score(theta, values, values * values, np.var(values, ddof=1))
+    expected = _score_step_by_step(theta, values)
+    assert np.all(np.abs(score - expected) <= 1e-12 * np.abs(expected))
 
 
 def test_fit_keeps_blas_on_the_calling_thread(monkeypatch):
@@ -269,6 +337,31 @@ def test_fit_keeps_blas_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "minimize", probed)
     fit(simulate(TRUE, 5_000, 3))
     assert seen == [1]
+
+
+def _scipy_modules_after(code):
+    src = str(Path(volclust.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = (
+        "import sys\n"
+        "from volclust import garch\n"
+        "s = garch.simulate(garch.GarchParams(0.05, 0.10, 0.85), 5000, 1)\n"
+        f"{code}\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return done.stdout.split()
+
+
+def test_only_fit_loads_scipy():
+    # the variance recursion runs on numpy alone; scipy serves fit's optimizer
+    filtering = "garch.filter_returns(s, garch.evaluate(garch.GarchParams(0.05, 0.10, 0.85), s))"
+    assert _scipy_modules_after(filtering) == []
+    loaded = _scipy_modules_after("garch.fit(s)")
+    assert "scipy.optimize" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))]
 
 
 def test_fit_is_deterministic():
