@@ -1,9 +1,10 @@
 """Price CSV ingestion, log-return computation, and standardization.
 
 The input format is a UTF-8 CSV with header ``timestamp,price``, one tick
-per line. Timestamps are opaque ordering keys: if every value parses as an
-integer the column is ordered numerically, otherwise lexically. Only the
-ordering is ever used downstream; time deltas play no role.
+per line. Timestamps are opaque ordering keys: an integer column becomes an
+int64 array (object beyond int64) ordered numerically, any other a str array
+ordered lexically; time deltas play no role. A plain ASCII file is parsed by
+numpy's C reader in one call, and any other file row by row.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import IO, Union
 
@@ -22,6 +21,9 @@ import numpy as np
 Source = Union[str, Path, bytes, IO[bytes], IO[str]]
 
 _COMMA, _NEWLINE = ord(","), ord("\n")
+# the bytes of a file the columnar reader may take: printable ASCII but the quote, CR, LF
+_PLAIN = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
+_PACKED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes that np.loadtxt decompresses
 _INITIAL_PRICE = 100.0
 
 
@@ -41,13 +43,15 @@ class _OrderError(ValueError):
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """An ordered tick series: strictly increasing timestamps, positive prices."""
+    """A tick series: read-only arrays of strictly increasing timestamps and positive prices."""
 
-    timestamps: tuple
+    timestamps: np.ndarray
     prices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
+        timestamps = np.asarray(self.timestamps).view()  # the caller's array stays writable
+        timestamps.setflags(write=False)
+        object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "prices", _frozen_array(self.prices, float))
         if len(self.timestamps) != len(self.prices):
             raise ValueError("timestamps and prices have different lengths")
@@ -57,9 +61,9 @@ class PriceSeries:
             raise ValueError("prices must be finite (no NaN or inf)")
         if np.any(self.prices <= 0.0):
             raise ValueError("prices must be strictly positive")
-        ts = self.timestamps
-        if not all(map(operator.lt, ts, islice(ts, 1, None))):
-            raise _OrderError(next(i for i in range(1, len(ts)) if not ts[i - 1] < ts[i]))
+        increasing = timestamps[:-1] < timestamps[1:]
+        if not increasing.all():
+            raise _OrderError(int(np.argmin(increasing)) + 1)
 
     def __len__(self) -> int:
         return len(self.prices)
@@ -69,7 +73,7 @@ class PriceSeries:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["timestamp", "price"])
-            writer.writerows(zip(self.timestamps, map(repr, self.prices.tolist())))
+            writer.writerows(zip(self.timestamps.tolist(), map(repr, self.prices.tolist())))
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class ReturnSeries:
         return len(self.values)
 
 
-def _read_text(source: Source) -> str:
+def _read_bytes(source: Source) -> bytes:
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
     elif isinstance(source, bytes):
@@ -112,9 +116,9 @@ def _read_text(source: Source) -> str:
         data = source.read()
     else:
         raise TypeError(f"unsupported source type: {type(source).__name__}")
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    data = data.encode("utf-8") if isinstance(data, str) else data
     # Excel prefixes UTF-8 CSVs with a byte-order mark
-    return text.removeprefix("\ufeff")
+    return data.removeprefix(b"\xef\xbb\xbf")
 
 
 def load_prices(source: Source) -> PriceSeries:
@@ -124,55 +128,45 @@ def load_prices(source: Source) -> PriceSeries:
     (malformed rows, non-positive prices, out-of-order timestamps) report
     the 1-based line number of the offending row.
     """
-    text = _read_text(source)
+    data = _read_bytes(source)
     try:
-        return _read_plain(text)
+        return _read_columns(data, source if isinstance(source, (str, Path)) else None)
     except ValueError:
-        # quoted fields, or any input the row loop rejects: it reads the
-        # text again and reports the first problem with its line number
-        return _read_rows(text)
+        # the row loop reads what the columnar reader declines, naming the first bad line
+        return _read_rows(data.decode("utf-8"))
 
 
-def _read_plain(text: str) -> PriceSeries:
-    """Read an unquoted CSV with LF or CRLF line ends in one vectorized pass.
-
-    It accepts only input that ``_read_rows`` accepts too, with the same
-    result, and raises ValueError for the rest: quotes, NULs, lone CRs, a
-    line without exactly one comma, a field at csv's size limit, a bad
-    header, price or timestamp.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    # csv before Python 3.11 rejects NUL, so NULs go to the row loop too
-    if '"' in text or "\r" in text or "\0" in text:
-        raise ValueError("not a plain CSV")
-    fields = _split_fields(text)
-    if fields is None or [f.strip() for f in fields[:2]] != ["timestamp", "price"]:
-        raise ValueError("not one comma per line, or a bad header")
-    # np.array converts each string with float(), which strips whitespace itself
-    prices = np.array(fields[3::2], dtype=float)
-    return PriceSeries(timestamps=_order_keys(list(map(str.strip, fields[2::2]))), prices=prices)
-
-
-def _split_fields(text: str) -> list[str] | None:
-    """The fields of ``text`` in order, or None unless each line holds one
-    comma and each field is shorter than csv's size limit."""
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    at = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
-    seps = raw[at]
-    # the separators read , \n , \n ... , and then at most one \n, at the end
-    final_newline = len(seps) % 2 == 0
-    if (
-        (final_newline and (len(at) == 0 or at[-1] != len(raw) - 1))
-        or np.any(seps[0::2] != _COMMA)
-        or np.any(seps[1::2] != _NEWLINE)
-        or np.diff(at, prepend=-1, append=len(raw)).max() > csv.field_size_limit()
-    ):
-        return None
-    fields = text.replace("\n", ",").split(",")
-    if final_newline:
-        fields.pop()
-    return fields
+def _read_columns(data: bytes, path: str | Path | None = None) -> PriceSeries:
+    """Read a plain ASCII CSV in one ``np.loadtxt`` call, with no Python object per
+    row. It accepts only input that ``_read_rows`` accepts, with the same result, and
+    raises ValueError for the rest. ``path`` is the file ``data`` came from, if any."""
+    header_end = data.find(b"\n")
+    first_comma = data.find(b",", header_end)
+    header = [name.strip() for name in data[: header_end + 1].split(b",")]
+    if (data.translate(None, _PLAIN) or first_comma < 0 or header != [b"timestamp", b"price"]
+            or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))):
+        raise ValueError("not a plain ASCII CSV with a header and a data row")
+    body = np.frombuffer(data, np.uint8, offset=header_end + 1)
+    at = np.flatnonzero((body == _COMMA) | (body == _NEWLINE))
+    sizes = np.diff(at, prepend=-1, append=len(body)) - 1
+    if sizes.max() >= csv.field_size_limit():
+        raise ValueError("a field at csv's size limit")
+    try:
+        int(data[header_end + 1 : first_comma])
+        ts_dtype = "i8"
+    except ValueError:
+        # csv strips every field, loadtxt keeps the spaces around a string
+        if data.find(b" ", header_end) >= 0 and any(
+                data.find(pad, header_end) >= 0 for pad in (b" ,", b"\n ")):
+            raise ValueError("padded string timestamps") from None
+        # a U field without a width reads as "", and one too narrow truncates
+        ts_dtype = f"U{sizes[:-1][body[at] == _COMMA].max()}"
+    # loadtxt reads a regular file again, in chunks, but would unpack one named *.gz and the like
+    reread = path is not None and Path(path).is_file() and Path(path).suffix not in _PACKED
+    source = path if reread else io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+    table = np.loadtxt(source, dtype=[("t", ts_dtype), ("p", "f8")], delimiter=",",
+                       comments=None, skiprows=1, ndmin=1, encoding="utf-8")
+    return PriceSeries(timestamps=table["t"], prices=table["p"])
 
 
 def _read_rows(text: str) -> PriceSeries:
@@ -196,6 +190,9 @@ def _read_rows(text: str) -> PriceSeries:
             if len(row) != 2:
                 raise ValueError(f"line {lineno}: expected 2 fields, got {len(row)}")
             ts, price_text = row[0].strip(), row[1].strip()
+            if "\0" in ts:
+                # a str array drops trailing NULs, so "a" and "a\0" would compare equal
+                raise ValueError(f"line {lineno}: timestamp {ts!r} holds a NUL character")
             try:
                 price = float(price_text)
             except ValueError:
@@ -224,12 +221,14 @@ def _read_rows(text: str) -> PriceSeries:
         ) from None
 
 
-def _order_keys(raw: list[str]) -> tuple:
-    # integer column -> numeric order; anything else -> lexical order
+def _order_keys(raw: list[str]) -> np.ndarray:
+    # integer column -> numeric order (object beyond int64); anything else -> lexical order
     try:
-        return tuple(map(int, raw))
+        return np.array(list(map(int, raw)), dtype=np.int64)
+    except OverflowError:
+        return np.array(list(map(int, raw)), dtype=object)
     except ValueError:
-        return tuple(raw)
+        return np.array(raw)
 
 
 def compute_returns(prices: PriceSeries) -> ReturnSeries:
@@ -247,7 +246,7 @@ def prices_from_returns(returns: ReturnSeries) -> PriceSeries:
             "simulated prices exceed the floating-point range; "
             "reduce n or the variance scale"
         )
-    return PriceSeries(timestamps=tuple(range(len(prices))), prices=prices)
+    return PriceSeries(timestamps=np.arange(len(prices)), prices=prices)
 
 
 def standardize(returns: ReturnSeries) -> ReturnSeries:

@@ -136,16 +136,6 @@ def test_simulate_validates_inputs():
 # --- variance path and likelihood --------------------------------------------
 
 
-def test_variance_path_satisfies_recursion():
-    series = simulate(TRUE, 20_000, 5)
-    v = variance_path(TRUE, series.values)
-    r = series.values
-    assert v[0] == pytest.approx(np.var(r, ddof=1), rel=1e-12)
-    expected = TRUE.omega + TRUE.alpha * r[:-1] ** 2 + TRUE.beta * v[:-1]
-    assert np.allclose(v[1:], expected, rtol=1e-10, atol=1e-10)
-    assert np.all(v > 0.0)
-
-
 def _variance_step_by_step(params, values, v0):
     # the per-step recursion, in extended precision: near beta = 1 a float64
     # loop drifts by about 1e-13 relative over 5000 steps on its own
@@ -173,7 +163,9 @@ def test_variance_path_matches_step_by_step_recursion(params, n):
     expected = _variance_step_by_step(params, values, np.var(values, ddof=1))
     got = variance_path(params, values)
     assert len(got) == n
+    assert got[0] == pytest.approx(np.var(values, ddof=1), rel=1e-12)
     assert np.max(np.abs(got - expected) / expected) < 1e-13
+    assert np.all(got > 0.0)
 
 
 def test_nll_closed_form_when_constant_variance():

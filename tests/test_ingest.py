@@ -22,7 +22,7 @@ from volclust.ingest import (
 def test_load_minimal_csv():
     series = load_prices(b"timestamp,price\n1,100.0\n2,101.0\n")
     assert len(series) == 2
-    assert series.timestamps == (1, 2)
+    assert series.timestamps.tolist() == [1, 2]
     assert np.allclose(series.prices, [100.0, 101.0])
 
 
@@ -77,7 +77,7 @@ def test_load_rejects_non_increasing_timestamps():
 def test_load_integer_timestamps_ordered_numerically():
     # "9" < "10" holds numerically even though it fails lexically
     series = load_prices(b"timestamp,price\n9,100.0\n10,101.0\n")
-    assert series.timestamps == (9, 10)
+    assert series.timestamps.tolist() == [9, 10]
 
 
 def test_load_string_timestamps_ordered_lexically():
@@ -106,7 +106,7 @@ def test_large_file_roundtrips_through_export(tmp_path):
     original.write_csv(path)
     parsed = load_prices(path)
     assert len(parsed) == 1001
-    assert parsed.timestamps == original.timestamps
+    assert parsed.timestamps.tolist() == original.timestamps.tolist()
     # full-precision export: every price survives the round trip bit-for-bit
     assert np.array_equal(parsed.prices, original.prices)
     # string timestamps holding "," or '"' are quoted as csv.writer quotes them
@@ -116,9 +116,9 @@ def test_large_file_roundtrips_through_export(tmp_path):
     text = path.read_bytes().decode()
     assert text == 'timestamp,price\r\n"a""2",1.5\r\n"a,1",2.0\r\nb,0.25\r\n'
     with pytest.raises(ValueError):
-        ingest._read_plain(text)
+        ingest._read_columns(text.encode())
     back = load_prices(path)
-    assert back.timestamps == quoted.timestamps
+    assert back.timestamps.tolist() == quoted.timestamps.tolist()
     assert np.array_equal(back.prices, quoted.prices)
 
 
@@ -132,9 +132,9 @@ def test_lf_and_exported_files_take_the_vectorized_path(tmp_path, monkeypatch):
     exported.write_csv(path)
     assert path.read_bytes().count(b"\r\n") == 4
     monkeypatch.setattr(ingest, "_read_rows", _no_row_loop)
-    assert load_prices(b"timestamp,price\n1,100.0\n2,101.5\n").timestamps == (1, 2)
+    assert load_prices(b"timestamp,price\n1,100.0\n2,101.5\n").timestamps.tolist() == [1, 2]
     parsed = load_prices(path)
-    assert parsed.timestamps == exported.timestamps
+    assert parsed.timestamps.tolist() == exported.timestamps.tolist()
     assert np.array_equal(parsed.prices, exported.prices)
 
 
@@ -143,7 +143,7 @@ def test_load_skips_utf8_byte_order_mark(eol):
     body = eol.join(["timestamp,price", "1,100.0", "2,101.5", ""]).encode()
     plain = load_prices(body)
     with_bom = load_prices(b"\xef\xbb\xbf" + body)
-    assert with_bom.timestamps == plain.timestamps
+    assert with_bom.timestamps.tolist() == plain.timestamps.tolist()
     assert np.array_equal(with_bom.prices, plain.prices)
 
 
@@ -162,6 +162,13 @@ def test_price_numerals_follow_float(numeral, outcome, monkeypatch):
     data = f"timestamp,price\n1,{numeral}\n2,1.0\n".encode()
     if isinstance(outcome, float):
         assert float(numeral) == outcome
+        if "_" in numeral or not numeral.isascii():
+            # loadtxt's parser rejects "1_000" and non-ASCII digits, so the row loop reads them
+            texts, read_rows = [], ingest._read_rows
+            monkeypatch.setattr(ingest, "_read_rows", lambda t: read_rows(texts.append(t) or t))
+            assert load_prices(data).prices[0] == outcome
+            assert texts == [data.decode()]
+            return
         # accepted by the vectorized pass on its own
         monkeypatch.setattr(ingest, "_read_rows", _no_row_loop)
         assert load_prices(data).prices[0] == outcome
@@ -180,13 +187,13 @@ def test_price_series_validation():
         PriceSeries(timestamps=(1, 2, 2), prices=np.ones(3))
     # integers beyond int64 keep their exact order
     big = PriceSeries(timestamps=(10**20, 10**20 + 1), prices=np.ones(2))
-    assert big.timestamps == (10**20, 10**20 + 1)
+    assert big.timestamps.tolist() == [10**20, 10**20 + 1]
     with pytest.raises(ValueError, match="increasing"):
         PriceSeries(timestamps=(10**20 + 1, 10**20), prices=np.ones(2))
     # strings order lexically, integers numerically
     with pytest.raises(ValueError, match="increasing"):
         PriceSeries(timestamps=("9", "10"), prices=np.ones(2))
-    assert PriceSeries(timestamps=(9, 10), prices=np.ones(2)).timestamps == (9, 10)
+    assert PriceSeries(timestamps=(9, 10), prices=np.ones(2)).timestamps.tolist() == [9, 10]
     with pytest.raises(ValueError, match="at least 2"):
         PriceSeries(timestamps=(1,), prices=np.array([1.0]))
     with pytest.raises(ValueError, match="lengths"):
@@ -342,3 +349,170 @@ def test_load_rejects_every_invalid_mutation(case, kind, data):
     with pytest.raises(ValueError) as looped:
         ingest._read_rows(text.decode())
     assert str(loaded.value) == str(looped.value)
+
+
+# --- the columnar reader against the row loop ----------------------------------
+
+
+def _columns_agree(raw: bytes, path) -> bool:
+    """Whether the columnar reader takes ``raw``, read in memory and from
+    ``path``; wherever it does, it gives what the row loop gives."""
+    path.write_bytes(raw)
+    data = ingest._read_bytes(raw)
+    try:
+        rows = ingest._read_rows(data.decode("utf-8"))
+    except ValueError:
+        rows = None
+    taken = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a body with no data
+        for source in (None, path):
+            try:
+                columns = ingest._read_columns(data, source)
+            except ValueError:
+                taken.append(False)
+                continue
+            taken.append(True)
+            assert rows is not None, "the columnar reader took input the row loop rejects"
+            assert columns.timestamps.dtype == rows.timestamps.dtype
+            assert columns.timestamps.tolist() == rows.timestamps.tolist()
+            assert columns.prices.tobytes() == rows.prices.tobytes()
+    assert taken[0] == taken[1]
+    return taken[0]
+
+
+_LIMIT_FIELD = b"1." + b"0" * 140_000  # 1.0, in a field over csv's size limit
+
+
+@pytest.mark.parametrize(
+    "body, columnar",
+    [
+        (b"a#1,1.0\na#2,2.0\n", True),  # '#' inside a field
+        (b"1,1.0\n2,2.0#\n", False),
+        (b"1_000,1.0\n2_000,2.0\n", False),  # int() reads 1_000, loadtxt does not
+        (b"1,1_000\n2,2.0\n", False),
+        ("1,١٢\n2,2.0\n".encode(), False),  # Arabic-Indic digits
+        ("١,1.0\n٢,2.0\n".encode(), False),
+        (b" 1 , 1.5 \n2 ,  2.0\n", True),  # padded numeric fields
+        (b" +1,1.0\n002,2.0\n", True),
+        (b" a ,1.0\nb,2.0\n", False),  # padded string timestamps
+        (b"a ,1.0\nb,2.0\n", False),
+        (b"a b,1.0\na c,2.0\n", True),
+        (b"\n1,1.0\n\n\n2,2.0\n\n", True),  # blank lines
+        (b"1,1.0\n \n2,2.0\n", False),  # a whitespace-only line
+        (b"1,1.0\n\t\n2,2.0\n", False),
+        (b"1,1.0\r\n\r\n2,2.0\r\n", True),  # CRLF
+        (b"1,1.0\r2,2.0\n", False),  # a lone CR
+        (b"1,1.0\n2,2.0\r", False),
+        (b'"1",1.0\n2,"2.0"\n', False),  # quoted fields
+        (b'"a,1",1.0\n"a""2",2.0\n', False),
+        (b"9223372036854775807,1.0\n9223372036854775808,2.0\n", False),  # beyond int64
+        (b"-9223372036854775809,1.0\n1,2.0\n", False),
+        (b"1,1.0\n1.5,2.0\n", False),  # an integer first row, then a non-integer row
+        (b"1,1.0\na,2.0\n", False),
+        (b"1,1.0\n", False),  # one data row
+        (b"", False),  # a header-only file
+        (b"\n\n", False),
+        (b"a,1.0\nab,2.0\nb,3.0\n", True),  # string timestamps of mixed lengths
+        (b"2024-01-01T00:00:00Z,1.0\n2024-01-01T00:00:01Z,2.0\n", True),
+        (b"a,1.0\na\0,2.0\n", False),  # a NUL
+        (b"1," + _LIMIT_FIELD + b"\n2,2.0\n", False),  # a field over csv's size limit
+        (b"1,nan\n2,2.0\n", False),
+        (b"2,1.0\n1,2.0\n", False),
+        (b",1.0\na,2.0\n", True),  # an empty string timestamp
+        (b"1,1.0\n,2.0\n", False),
+        (b"1,1.0,\n2,2.0\n", False),
+        (b"1,.5\n2,3.\n3,+1e-3\n", True),
+    ],
+)
+@pytest.mark.parametrize("header", [b"timestamp,price\n", b"\xef\xbb\xbf timestamp , price\r\n"])
+def test_columnar_reader_agrees_with_row_loop(header, body, columnar, tmp_path):
+    assert _columns_agree(header + body, tmp_path / "prices.csv") == columnar
+
+
+def test_columnar_reader_needs_the_header_on_line_one(tmp_path):
+    for raw in (b"\ntimestamp,price\n1,1.0\n2,2.0\n", b"time,price\n1,1.0\n2,2.0\n"):
+        assert not _columns_agree(raw, tmp_path / "prices.csv")
+
+
+@pytest.mark.parametrize("name", ["prices.csv.gz", "prices.bz2", "prices.xz", "prices.lzma"])
+def test_plain_file_with_a_compression_suffix_loads(name, tmp_path):
+    # np.loadtxt would decompress a path by its suffix, so these are read from memory
+    assert _columns_agree(b"timestamp,price\n1,1.0\n2,2.0\n", tmp_path / name)
+
+
+_TIMESTAMP_TOKENS = ["1", "+7", "007", "1_000", "1.5", "-3", "9223372036854775808", "a",
+                     "a b", "a#", "2024-01-01T00:00:00Z", "", "١", '"q"', "a\0", "Z"]
+_PRICE_TOKENS = ["1.5", "1_000", "١", "nan", "inf", "-1", "0", "1e400", "", "0x10",
+                 "1.", ".5", "+2", "1e-5", '"3"', "4#"]
+
+
+@st.composite
+def _fuzzed_csv(draw):
+    """Mostly well-formed price CSVs, in sorted order, with the field and
+    line shapes on which csv and loadtxt might part ways."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.integers(-(2**64), 2**64), min_size=n, max_size=n, unique=True))
+        stamps = [str(k) for k in sorted(keys)]
+    else:
+        text = st.text(alphabet="abT:-0123456789 #_.", max_size=6)
+        stamps = sorted(draw(st.lists(text, min_size=n, max_size=n, unique=True)))
+    prices = [repr(p) for p in draw(st.lists(
+        st.floats(min_value=1e-300, max_value=1e300), min_size=n, max_size=n))]
+    for column, tokens in ((stamps, _TIMESTAMP_TOKENS), (prices, _PRICE_TOKENS)):
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            column[draw(st.integers(0, n - 1))] = draw(st.sampled_from(tokens))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    lines = [f"{pad}{t}{pad},{pad}{p}" for t, p in zip(stamps, prices)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", ","])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(["timestamp,price", *lines]) + draw(st.sampled_from(["", eol, "\r"]))
+    return (draw(st.sampled_from(["", "﻿"])) + text).encode()
+
+
+@given(raw=_fuzzed_csv())
+@settings(max_examples=300, deadline=None)
+def test_columnar_reader_never_departs_from_row_loop(raw, tmp_path_factory):
+    _columns_agree(raw, tmp_path_factory.getbasetemp() / "fuzzed.csv")
+
+
+def test_load_rejects_nul_in_timestamp():
+    with pytest.raises(ValueError, match=r"^line 3: timestamp 'a\\x00' holds a NUL character$"):
+        load_prices(b"timestamp,price\na,1.0\na\x00,2.0\n")
+
+
+@pytest.mark.parametrize(
+    "timestamps",
+    [np.arange(3), np.array(["a", "ab", "b"]), np.array([10**20, 10**20 + 1, 10**21], object)],
+    ids=["int64", "str", "beyond-int64"],
+)
+def test_write_csv_roundtrips_array_timestamps(timestamps, tmp_path):
+    original = PriceSeries(timestamps=timestamps, prices=np.array([1.5, 2.0, 0.1]))
+    path = tmp_path / "prices.csv"
+    original.write_csv(path)
+    back = load_prices(path)
+    assert back.timestamps.dtype == timestamps.dtype
+    assert back.timestamps.tolist() == timestamps.tolist()
+    assert back.prices.tobytes() == original.prices.tobytes()
+    assert not back.timestamps.flags.writeable
+
+
+def test_iso_file_reexports_as_its_crlf_form(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    stamps = np.datetime_as_string(np.arange(1_600_000_000, 1_600_000_500).astype("datetime64[s]"))
+    prices = np.exp(rng.normal(0.0, 0.01, size=500).cumsum()) * 100.0
+    lf = "".join(f"{t}Z,{p!r}\n" for t, p in zip(stamps, prices.tolist()))
+    source = tmp_path / "iso.csv"
+    source.write_text("timestamp,price\n" + lf)
+    monkeypatch.setattr(ingest, "_read_rows", _no_row_loop)
+    exported = tmp_path / "exported.csv"
+    load_prices(source).write_csv(exported)
+    assert exported.read_bytes() == source.read_bytes().replace(b"\n", b"\r\n")
+
+
+def test_price_series_keeps_the_callers_array_writable():
+    stamps = np.arange(3)
+    series = PriceSeries(timestamps=stamps, prices=np.ones(3))
+    assert stamps.flags.writeable and not series.timestamps.flags.writeable
