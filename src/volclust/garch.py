@@ -5,19 +5,17 @@ sigma^2_t = omega + alpha * r^2_{t-1} + beta * sigma^2_{t-1}, covariance
 stationary when alpha + beta < 1 (Bollerslev 1986). Simulation initializes
 the recursion at the unconditional variance omega / (1 - alpha - beta) and
 discards a burn-in; likelihood evaluation initializes at the sample variance
-of the data. Simulation, the variance path and the score all run the
-recursion through one numpy prefix scan, ``_affine_scan``. Fitting runs
-L-BFGS-B (scipy's only use here) on the analytic score, over an unconstrained
-reparameterization that keeps the parameters stationary by construction.
+of the data. Simulation, the variance path and the score's sensitivities
+all run the recursion through one numpy prefix scan, ``_affine_scan``.
+Fitting runs damped Fisher scoring on the analytic score and expected
+information, over an unconstrained reparameterization that keeps the
+parameters stationary by construction; numpy is the only dependency.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
-from pathlib import Path
 
 import numpy as np
 
@@ -207,116 +205,107 @@ def _unpack(theta: np.ndarray) -> GarchParams:
     return GarchParams(omega=omega, alpha=persistence * share, beta=persistence * (1.0 - share))
 
 
-def _nll_and_score(
-    theta: np.ndarray, values: np.ndarray, squares: np.ndarray, v0: float
-) -> tuple[float, np.ndarray]:
-    """Negative Gaussian log-likelihood at ``_unpack(theta)`` and its gradient in theta.
+def _nll(theta: np.ndarray, values: np.ndarray, v0: float) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood at ``_unpack(theta)`` from sigma^2_0 = v0, and the variance path."""
+    variances = variance_path(_unpack(theta), values, initial_variance=v0)
+    return -gaussian_log_likelihood(values, variances), variances
 
-    ``squares`` is ``values ** 2`` and ``v0`` the fixed sigma^2_0. The score
-    is the adjoint of the variance recursion: with g_t = d nll / d sigma^2_t,
-    lambda_k = g_k + beta * lambda_{k+1} is ``_affine_scan`` run backwards,
-    and d nll / d(omega, alpha, beta) = sum_k lambda_k *
-    (1, r^2_{k-1}, sigma^2_{k-1}) over k >= 1. The chain rule through
-    ``_unpack`` gives zero where one of its clamps is active.
+
+def _sensitivities(beta: float, squares: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """D_t = d sigma^2_t / d(omega, alpha, beta) as rows, from D_0 = 0.
+
+    D_t = (1, r^2_{t-1}, sigma^2_{t-1}) + beta * D_{t-1}: one ``_affine_scan`` a row.
+    """
+    offsets = (np.ones(len(squares) - 1), squares[:-1], variances[:-1])
+    return np.array([_affine_scan(0.0, beta, offset) for offset in offsets])
+
+
+def _score_and_information(
+    theta: np.ndarray, squares: np.ndarray, variances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score and expected information of the negative log-likelihood in theta.
+
+    ``variances`` is the variance path at ``_unpack(theta)`` and ``squares``
+    the squared returns. With g_t = d nll / d sigma^2_t, the score in
+    (omega, alpha, beta) is sum_t g_t D_t and the information is
+    1/2 sum_t D_t D_t^T / sigma^4_t (Fiorentini, Calzolari & Panattoni 1996).
+    The Jacobian of ``_unpack`` carries both to theta; its column is zero
+    where one of the clamps is active.
     """
     params = _unpack(theta)
-    variances = variance_path(params, values, initial_variance=v0)
-    nll = -gaussian_log_likelihood(values, variances)
-    if not math.isfinite(nll):
-        return math.inf, np.zeros(3)
+    sens = _sensitivities(params.beta, squares, variances)
     g = 0.5 * (1.0 - squares / variances) / variances
-    lam = _affine_scan(g[-1], params.beta, g[-2:0:-1])[::-1]
-    # np.sum(a * b), not a BLAS dot: far faster on these long vectors
-    d_omega = float(np.sum(lam))
-    d_alpha = float(np.sum(lam * squares[:-1]))
-    d_beta = float(np.sum(lam * variances[:-1]))
+    scaled = sens / variances
+    # einsum's own loops: faster here than a BLAS product on 3 x n arrays
+    score = np.einsum("it,t->i", sens, g)
+    information = 0.5 * np.einsum("it,jt->ij", scaled, scaled)
 
-    persistence = _sigmoid(theta[1])
+    persistence = params.alpha + params.beta
     share, rest = _sigmoid(theta[2]), _sigmoid(-theta[2])
-    d_persistence = share * d_alpha + rest * d_beta
-    return nll, np.array(
-        [
-            params.omega * d_omega if abs(theta[0]) < _LOG_OMEGA_BOUND else 0.0,
-            d_persistence * persistence * _sigmoid(-theta[1])
-            if persistence < _MAX_PERSISTENCE
-            else 0.0,
-            (d_alpha - d_beta) * (params.alpha + params.beta) * share * rest,
-        ]
+    d_omega = params.omega if abs(theta[0]) < _LOG_OMEGA_BOUND else 0.0
+    d_persistence = (
+        _sigmoid(theta[1]) * _sigmoid(-theta[1]) if persistence < _MAX_PERSISTENCE else 0.0
     )
-
-
-@cache
-def _openblas_thread_limit():
-    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with SciPy, or None."""
-    import ctypes
-
-    import scipy
-
-    bundled = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
-    for path in sorted(bundled.glob("libscipy_openblas*.so*")):
-        limit = getattr(ctypes.CDLL(str(path)), "openblas_set_num_threads_local", None)
-        if limit is not None:
-            return limit
-    return None
-
-
-@contextmanager
-def _blas_on_calling_thread():
-    """Run the enclosed OpenBLAS calls of this thread on this thread alone.
-
-    SciPy's L-BFGS-B wakes the OpenBLAS worker threads, which then busy-wait
-    through every likelihood evaluation: about 1.4 s of a second core per
-    5 fits at n=2e5, and a wall time that swings with whatever else wants
-    that core. Its BLAS work is on 3-vectors, so one thread loses nothing.
-    A SciPy without its bundled OpenBLAS is left as it is.
-    """
-    limit = _openblas_thread_limit()
-    if limit is None:
-        yield
-        return
-    previous = limit(1)
-    try:
-        yield
-    finally:
-        limit(previous)
+    d_share = persistence * share * rest
+    jacobian = np.array([[d_omega, 0.0, 0.0],
+                         [0.0, share * d_persistence, d_share],
+                         [0.0, rest * d_persistence, -d_share]])
+    return jacobian.T @ score, jacobian.T @ information @ jacobian
 
 
 def fit(returns: ReturnSeries) -> GarchFit:
-    """Maximum-likelihood GARCH(1,1) fit via L-BFGS-B on the analytic score.
+    """Maximum-likelihood GARCH(1,1) fit by damped Fisher scoring.
 
     The search runs on (log omega, logit persistence, logit share), which
-    maps onto the stationarity region, with the exact gradient of the
-    negative log-likelihood (``_nll_and_score``), 3 stored corrections,
-    relative function tolerance 1e-14, projected-gradient tolerance 1e-5 and
-    at most 2000 iterations; the converged flag reports whether L-BFGS-B
-    stopped on one of its tolerances rather than on the iteration limit or a
-    failed line search. Start: omega = 0.1 * sample variance, alpha = 0.05,
-    beta = 0.90.
+    maps onto the stationarity region. Each step solves
+    (A + lambda * diag A) step = -score, with A the expected information
+    (``_score_and_information``), by least squares because A is singular
+    where a clamp of ``_unpack`` is active (Levenberg-Marquardt damping,
+    Marquardt 1963). A step that does not raise the negative log-likelihood
+    is taken and lambda divided by 10, down to 1e-17; otherwise lambda is
+    multiplied by 10 and the step solved again. ``converged`` is True when
+    the largest |score| is at most 1e-5, or a taken step lowers the negative
+    log-likelihood by at most 1e-14 relative; it is False when lambda
+    reaches 1e16 without a step taken, or after 2000 steps. Start:
+    omega = 0.1 * sample variance, alpha = 0.05, beta = 0.90.
     """
-    from scipy.optimize import minimize
-
     if len(returns) < MIN_FIT_LENGTH:
         raise ValueError(
             f"need at least {MIN_FIT_LENGTH} returns for a meaningful fit, got {len(returns)}"
         )
     start = GarchParams(omega=0.1 * returns.stdev**2, alpha=0.05, beta=0.90)
     persistence = start.alpha + start.beta
-    x0 = np.array([math.log(start.omega), _logit(persistence), _logit(start.alpha / persistence)])
+    theta = np.array(
+        [math.log(start.omega), _logit(persistence), _logit(start.alpha / persistence)]
+    )
 
     values = returns.values
+    squares = values * values
     v0 = float(np.var(values, ddof=1))
-    with _blas_on_calling_thread():
-        result = minimize(
-            _nll_and_score,
-            x0,
-            args=(values, values * values, v0),
-            method="L-BFGS-B",
-            jac=True,
-            # on iid input the likelihood is nearly flat along alpha ~ 0, and a
-            # looser ftol stops there up to 1.5e-4 short of Nelder-Mead's maximum
-            options=dict(maxcor=3, ftol=1e-14, gtol=1e-5, maxiter=MAX_FIT_ITERATIONS),
-        )
-    return evaluate(_unpack(result.x), returns, converged=bool(result.success))
+    nll, variances = _nll(theta, values, v0)
+    damping, converged = 1e-3, False
+    for _ in range(MAX_FIT_ITERATIONS):
+        score, information = _score_and_information(theta, squares, variances)
+        if np.max(np.abs(score)) <= 1e-5:
+            converged = True
+            break
+        while damping < 1e16:
+            damped = information + damping * np.diag(np.diag(information))
+            trial = theta + np.linalg.lstsq(damped, -score, rcond=None)[0]
+            trial_nll, trial_variances = _nll(trial, values, v0)
+            if trial_nll <= nll:
+                break
+            damping *= 10.0
+        else:
+            break
+        converged = nll - trial_nll <= 1e-14 * abs(nll)
+        theta, nll, variances = trial, trial_nll, trial_variances
+        # below 1e-17, A + damping * diag A rounds to A; a damping that
+        # underflowed to 0 could never be raised again
+        damping = max(damping / 10.0, 1e-17)
+        if converged:
+            break
+    return evaluate(_unpack(theta), returns, converged=converged)
 
 
 def filter_returns(returns: ReturnSeries, fitted: GarchFit) -> ReturnSeries:

@@ -49,7 +49,11 @@ class PriceSeries:
     prices: np.ndarray
 
     def __post_init__(self):
-        timestamps = np.asarray(self.timestamps).view()  # the caller's array stays writable
+        timestamps = np.asarray(self.timestamps)
+        if timestamps.dtype.kind == "f" and all(isinstance(t, int) for t in self.timestamps):
+            # Python ints no one integer dtype holds, such as -1 with 2**63: keep them exact
+            timestamps = np.array(self.timestamps, dtype=object)
+        timestamps = timestamps.view()  # the caller's array stays writable
         timestamps.setflags(write=False)
         object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "prices", _frozen_array(self.prices, float))

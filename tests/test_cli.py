@@ -1,15 +1,12 @@
 import csv
 import importlib.util
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import volclust
 from volclust.cli import main
 from volclust.dvc import AnalysisConfig, analyze
 from volclust.experiment import run_experiment
@@ -388,18 +385,3 @@ def test_benchmark_tracer_hooks_resolve():
     for module, cls, attr in tracer.METHODS:
         owner = getattr(sys.modules.get(module), cls, None)
         assert owner is not None and attr in vars(owner), f"{module}.{cls}.{attr}"
-
-
-def test_cli_import_loads_no_scipy():
-    # scipy serves only the GARCH fit's optimizer, so a fresh interpreter
-    # importing the CLI must not load it
-    src = str(Path(volclust.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = (
-        "import sys, volclust.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "[]"

@@ -267,7 +267,8 @@ SCORE_POINTS = [
 def test_score_matches_central_differences(theta):
     series = simulate(TRUE, 5_000, 3)
     values = series.values
-    nll, score = garch._nll_and_score(theta, values, values * values, np.var(values, ddof=1))
+    nll, variances = garch._nll(theta, values, np.var(values, ddof=1))
+    score, _ = garch._score_and_information(theta, values * values, variances)
     assert nll == pytest.approx(-evaluate(garch._unpack(theta), series).log_likelihood, rel=1e-12)
     for i in range(3):
         step = np.zeros(3)
@@ -306,54 +307,70 @@ def _score_step_by_step(theta, values):
 @pytest.mark.parametrize("theta", SCORE_POINTS)
 def test_score_matches_step_by_step_adjoint(theta):
     values = simulate(TRUE, 5_000, 3).values
-    _, score = garch._nll_and_score(theta, values, values * values, np.var(values, ddof=1))
+    _, variances = garch._nll(theta, values, np.var(values, ddof=1))
+    score, _ = garch._score_and_information(theta, values * values, variances)
     expected = _score_step_by_step(theta, values)
     assert np.all(np.abs(score - expected) <= 1e-12 * np.abs(expected))
 
 
-def test_fit_keeps_blas_on_the_calling_thread(monkeypatch):
-    # OpenBLAS workers woken by L-BFGS-B would busy-wait through the search
-    limit = garch._openblas_thread_limit()
-    if limit is None:
-        pytest.skip("this SciPy does not bundle OpenBLAS")
-    import scipy.optimize
+def _information_step_by_step(theta, values):
+    # D_t = (1, r^2_{t-1}, sigma^2_{t-1}) + beta * D_{t-1} from D_0 = 0 one step
+    # at a time, 1/2 sum D_t D_t^T / sigma^4_t, then the Jacobian of _unpack
+    params = garch._unpack(theta)
+    r = values.tolist()
+    v, d = [float(np.var(values, ddof=1))], [(0.0, 0.0, 0.0)]
+    for t in range(1, len(r)):
+        v.append(params.omega + params.alpha * r[t - 1] ** 2 + params.beta * v[-1])
+        d.append(tuple(x + params.beta * y for x, y in zip((1.0, r[t - 1] ** 2, v[t - 1]), d[-1])))
+    information = np.array([
+        [0.5 * math.fsum(dt[i] * dt[j] / vt**2 for dt, vt in zip(d, v)) for j in range(3)]
+        for i in range(3)
+    ])
+    persistence, share = params.alpha + params.beta, garch._sigmoid(theta[2])
+    clamped = persistence >= garch._MAX_PERSISTENCE
+    d_logit = 0.0 if clamped else garch._sigmoid(theta[1]) * garch._sigmoid(-theta[1])
+    d_share = persistence * share * garch._sigmoid(-theta[2])
+    jacobian = np.array([
+        [params.omega, 0.0, 0.0],
+        [0.0, share * d_logit, d_share],
+        [0.0, (1.0 - share) * d_logit, -d_share],
+    ])
+    return np.array(d).T, jacobian.T @ information @ jacobian
 
-    minimize, seen = scipy.optimize.minimize, []
 
-    def probed(*args, **kwargs):
-        threads = limit(1)
-        limit(threads)
-        seen.append(threads)
-        return minimize(*args, **kwargs)
+@pytest.mark.parametrize("theta", SCORE_POINTS)
+def test_information_matches_step_by_step_sensitivities(theta):
+    values = simulate(TRUE, 5_000, 3).values
+    _, variances = garch._nll(theta, values, np.var(values, ddof=1))
+    sens = garch._sensitivities(garch._unpack(theta).beta, values * values, variances)
+    _, information = garch._score_and_information(theta, values * values, variances)
+    expected_sens, expected = _information_step_by_step(theta, values)
+    assert sens.shape == expected_sens.shape
+    assert np.all(np.abs(sens - expected_sens) <= 1e-12 * np.abs(expected_sens))
+    # exact zeros where a clamp is active: the information is singular there
+    assert np.all(np.abs(information - expected) <= 1e-12 * np.abs(expected))
+    assert np.all(np.abs(information - information.T) <= 1e-14 * np.abs(information))
 
-    monkeypatch.setattr(scipy.optimize, "minimize", probed)
-    fit(simulate(TRUE, 5_000, 3))
-    assert seen == [1]
 
-
-def _scipy_modules_after(code):
+def test_garch_filter_experiment_runs_without_scipy(tmp_path):
+    # numpy is volclust's only dependency: with every scipy import made to
+    # raise, a fresh interpreter still runs the CLI's GARCH fit end to end
     src = str(Path(volclust.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     script = (
         "import sys\n"
-        "from volclust import garch\n"
-        "s = garch.simulate(garch.GarchParams(0.05, 0.10, 0.85), 5000, 1)\n"
-        f"{code}\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "sys.modules['scipy'] = None\n"
+        "from volclust.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    return done.stdout.split()
-
-
-def test_only_fit_loads_scipy():
-    # the variance recursion runs on numpy alone; scipy serves fit's optimizer
-    filtering = "garch.filter_returns(s, garch.evaluate(garch.GarchParams(0.05, 0.10, 0.85), s))"
-    assert _scipy_modules_after(filtering) == []
-    loaded = _scipy_modules_after("garch.fit(s)")
-    assert "scipy.optimize" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))]
+    argv = ["experiment", "--kind", "garch-filter", "--n", "20000", "--seeds", "1",
+            "--out", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads((tmp_path / "out" / "experiment.json").read_text())
+    assert [row["seed"] for row in payload["rows"]] == [1]
 
 
 def test_fit_is_deterministic():

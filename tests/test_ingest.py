@@ -190,6 +190,11 @@ def test_price_series_validation():
     assert big.timestamps.tolist() == [10**20, 10**20 + 1]
     with pytest.raises(ValueError, match="increasing"):
         PriceSeries(timestamps=(10**20 + 1, 10**20), prices=np.ones(2))
+    # numpy makes this mix float64, in which 2**63 and 2**63 + 1 are equal
+    mixed = PriceSeries(timestamps=(-1, 2**63, 2**63 + 1), prices=np.ones(3))
+    assert mixed.timestamps.tolist() == [-1, 2**63, 2**63 + 1]
+    with pytest.raises(ValueError, match=r"increasing \(position 2\)"):
+        PriceSeries(timestamps=(-1, 2**63 + 1, 2**63), prices=np.ones(3))
     # strings order lexically, integers numerically
     with pytest.raises(ValueError, match="increasing"):
         PriceSeries(timestamps=("9", "10"), prices=np.ones(2))
