@@ -12,7 +12,6 @@ measure.
 
 from .dvc import (
     AnalysisConfig,
-    DvcPoint,
     DvcProfile,
     DvcResult,
     PipelineError,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisConfig",
     "BinningScheme",
-    "DvcPoint",
     "DvcProfile",
     "DvcResult",
     "PipelineError",

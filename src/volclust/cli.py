@@ -94,7 +94,7 @@ _CONFIG_ALIASES = {"bins": "n_bins"}
 def _read_config_file(path: str | Path) -> dict:
     """Parse a key = value config file (one pair per line, # comments)."""
     options = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -128,8 +128,7 @@ def cmd_analyze(args) -> int:
     def write(out: Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "result.json").write_text(result.to_json(), encoding="utf-8")
-        _write_csv(out / "profile.csv", ("s_value", "abs_mean", "count"),
-                   ((p.s_value, p.abs_mean, p.count) for p in result.profile.points))
+        _write_csv(out / "profile.csv", ("s_value", "abs_mean", "count"), result.profile.rows())
         _write_json(
             out / "manifest.json",
             _manifest("analyze", config.to_json_dict(), [], [args.input]),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ingest import ReturnSeries, standardize
+from .ingest import ReturnSeries, _frozen_array, standardize
 from .symbolize import SymbolicSeries, build_bins, symbolize
 
 
@@ -54,39 +54,42 @@ class AnalysisConfig:
         }
 
 
-@dataclass(frozen=True)
-class DvcPoint:
-    """One profile point: symbol value, mean absolute successor value, support."""
-
-    s_value: float
-    abs_mean: float
-    count: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DvcProfile:
-    """Profile points sorted by strictly increasing symbol value."""
+    """One entry per kept symbol, by strictly increasing symbol value.
 
-    points: tuple[DvcPoint, ...]
+    Read-only arrays of equal length: the symbol value, the mean absolute
+    value of the symbol that follows it, and the transitions behind that mean.
+    Profiles compare and hash by their rows, so a DvcResult does too.
+    """
+
+    s_values: np.ndarray
+    abs_means: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.points:
+        for name, dtype in (("s_values", float), ("abs_means", float), ("counts", np.int64)):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
+        if not len(self.s_values) == len(self.abs_means) == len(self.counts):
+            raise ValueError("s_values, abs_means and counts must have equal lengths")
+        if len(self.s_values) == 0:
             raise ValueError("profile must contain at least one point")
-        for p in self.points:
-            if p.abs_mean < 0.0:
-                raise ValueError("abs_mean must be nonnegative")
-            if p.count < 1:
-                raise ValueError("point count must be >= 1")
-        svals = [p.s_value for p in self.points]
-        if any(a >= b for a, b in zip(svals, svals[1:])):
+        if np.any(self.abs_means < 0.0):
+            raise ValueError("abs_mean must be nonnegative")
+        if np.any(self.counts < 1):
+            raise ValueError("point count must be >= 1")
+        if np.any(self.s_values[:-1] >= self.s_values[1:]):
             raise ValueError("points must be sorted by strictly increasing s_value")
 
-    def s_values(self) -> np.ndarray:
-        return np.array([p.s_value for p in self.points])
+    def rows(self) -> list[tuple[float, float, int]]:
+        """(s_value, abs_mean, count) per point in Python numbers, as written out."""
+        return list(zip(self.s_values.tolist(), self.abs_means.tolist(), self.counts.tolist()))
 
-    def abs_means(self) -> np.ndarray:
-        return np.array([p.abs_mean for p in self.points])
+    def __eq__(self, other):
+        return isinstance(other, DvcProfile) and self.rows() == other.rows()
+
+    def __hash__(self):
+        return hash(tuple(self.rows()))
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,7 @@ class DvcResult:
             "n_points_pos": self.n_points_pos,
             "n_points_neg": self.n_points_neg,
             "profile": [
-                {"s_value": float(p.s_value), "abs_mean": float(p.abs_mean), "count": p.count}
-                for p in self.profile.points
+                {"s_value": s, "abs_mean": m, "count": c} for s, m, c in self.profile.rows()
             ],
             "config": self.config.to_json_dict() if self.config is not None else None,
         }
@@ -141,19 +143,17 @@ def dvc_profile(series: SymbolicSeries, min_count: int) -> DvcProfile:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts = transition_counts(series)
     support = counts.sum(axis=1)
-    keep = np.nonzero(support >= min_count)[0]
-    if len(keep) == 0:
+    keep = support >= min_count
+    if not keep.any():
         raise ValueError(
             f"no symbol reaches min_count={min_count} transitions; "
             "series too short or bins too fine"
         )
     abs_centers = np.abs(series.scheme.centers)
-    points = []
-    for sym in keep:  # ascending symbol index == ascending center value
-        n = int(support[sym])
-        abs_mean = float(counts[sym] @ abs_centers) / n
-        points.append(DvcPoint(float(series.scheme.centers[sym]), abs_mean, n))
-    return DvcProfile(points=tuple(points))
+    # a dot product per row, as one matrix product rounds some sums differently;
+    # ascending symbol index == ascending center value
+    sums = np.array([row @ abs_centers for row in counts[keep]])
+    return DvcProfile(series.scheme.centers[keep], sums / support[keep], support[keep])
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -168,8 +168,7 @@ def fit_dvc(profile: DvcProfile) -> DvcResult:
     s_value < 0; each side needs at least 2 points. A profile with no
     dependence on the symbol value yields slopes near zero.
     """
-    svals = profile.s_values()
-    means = profile.abs_means()
+    svals, means = profile.s_values, profile.abs_means
     pos = svals >= 0.0
     neg = ~pos
     n_pos, n_neg = int(pos.sum()), int(neg.sum())

@@ -170,15 +170,10 @@ def gaussian_log_likelihood(values: np.ndarray, variances: np.ndarray) -> float:
     return float(-0.5 * np.sum(LOG_2PI + np.log(v) + r * r / v))
 
 
-def evaluate(params: GarchParams, returns: ReturnSeries, converged: bool = True) -> GarchFit:
+def evaluate(params: GarchParams, returns: ReturnSeries) -> GarchFit:
     """Build a GarchFit for given (not optimized) parameters on the data."""
     variances = variance_path(params, returns.values)
-    return GarchFit(
-        params=params,
-        log_likelihood=gaussian_log_likelihood(returns.values, variances),
-        conditional_variances=variances,
-        converged=converged,
-    )
+    return GarchFit(params, gaussian_log_likelihood(returns.values, variances), variances, True)
 
 
 def _sigmoid(t: float) -> float:
@@ -305,7 +300,7 @@ def fit(returns: ReturnSeries) -> GarchFit:
         damping = max(damping / 10.0, 1e-17)
         if converged:
             break
-    return evaluate(_unpack(theta), returns, converged=converged)
+    return GarchFit(_unpack(theta), -nll, variances, converged)
 
 
 def filter_returns(returns: ReturnSeries, fitted: GarchFit) -> ReturnSeries:

@@ -4,7 +4,9 @@ The input format is a UTF-8 CSV with header ``timestamp,price``, one tick
 per line. Timestamps are opaque ordering keys: an integer column becomes an
 int64 array (object beyond int64) ordered numerically, any other a str array
 ordered lexically; time deltas play no role. A plain ASCII file is parsed by
-numpy's C reader in one call, and any other file row by row.
+numpy's C reader in one call, and any other file row by row. Only a regular
+file named by its path is read in chunks; from any other source numpy's
+reader still makes one Python ``str`` per line.
 """
 
 from __future__ import annotations
@@ -141,9 +143,11 @@ def load_prices(source: Source) -> PriceSeries:
 
 
 def _read_columns(data: bytes, path: str | Path | None = None) -> PriceSeries:
-    """Read a plain ASCII CSV in one ``np.loadtxt`` call, with no Python object per
-    row. It accepts only input that ``_read_rows`` accepts, with the same result, and
-    raises ValueError for the rest. ``path`` is the file ``data`` came from, if any."""
+    """Read a plain ASCII CSV in one ``np.loadtxt`` call. It accepts only input that
+    ``_read_rows`` accepts, with the same result, and raises ValueError for the rest.
+    ``path`` is the file ``data`` came from, if any. Only a regular file's path lets
+    numpy read in chunks, with no Python object per row; bytes, file objects, FIFOs
+    and compressed names reach it through a text wrapper, one ``str`` per line."""
     header_end = data.find(b"\n")
     first_comma = data.find(b",", header_end)
     header = [name.strip() for name in data[: header_end + 1].split(b",")]

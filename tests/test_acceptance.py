@@ -12,7 +12,6 @@ import pytest
 
 from volclust.cli import main
 from volclust.dvc import (
-    DvcPoint,
     DvcProfile,
     analyze,
     dvc_profile,
@@ -155,11 +154,11 @@ def check_against_oracle(series, oracle, min_count):
             dvc_profile(series, min_count)
         return
     profile = dvc_profile(series, min_count)
-    assert len(profile.points) == len(expected)
-    for point, (s_value, abs_mean, count) in zip(profile.points, expected):
-        assert point.s_value == s_value
-        assert point.count == count
-        assert abs(point.abs_mean - abs_mean) <= 1e-12
+    assert len(profile.s_values) == len(expected)
+    for i, (s_value, abs_mean, count) in enumerate(expected):
+        assert profile.s_values[i] == s_value
+        assert profile.counts[i] == count
+        assert abs(profile.abs_means[i] - abs_mean) <= 1e-12
 
 
 def test_criterion_6a_oracle_equivalence_exhaustive():
@@ -200,11 +199,8 @@ def test_criterion_7_exact_slope_recovery():
     xs = np.array([-2.5, -1.0, -0.5, 0.0, 0.5, 1.5, 2.0])
     worst = 0.0
     for pos_slope, neg_slope in cases:
-        points = tuple(
-            DvcPoint(float(x), pos_slope * x if x >= 0 else -neg_slope * x, 7)
-            for x in xs
-        )
-        result = fit_dvc(DvcProfile(points=points))
+        means = [pos_slope * x if x >= 0 else -neg_slope * x for x in xs.tolist()]
+        result = fit_dvc(DvcProfile(xs, means, [7] * len(xs)))
         worst = max(worst, abs(result.dvc_p - pos_slope), abs(result.dvc_n + neg_slope))
     ok = worst < 1e-12
     report(7, "exact slope recovery", ok,

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,15 @@ def test_analyze_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    csv_path = _simulate_csv(tmp_path, n=5_000)
+    config_file = tmp_path / "bom.cfg"
+    config_file.write_bytes(b"\xef\xbb\xbfbins = 21\n")
+    out = tmp_path / "bomrun"
+    assert main(["analyze", str(csv_path), "--out", str(out), "--config", str(config_file)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["n_bins"] == 21
+
+
 def test_config_and_output_failures_name_their_stage(tmp_path, capsys):
     csv_path = _simulate_csv(tmp_path, n=2_000)
     code = main(["analyze", str(csv_path), "--out", str(tmp_path / "o"),
@@ -237,7 +247,7 @@ def test_experiment_garch_filter(tmp_path):
 
 def test_experiment_flags_non_converged_fits(tmp_path, capsys, monkeypatch):
     def unconverged_fit(returns):
-        return evaluate(GarchParams(0.05, 0.10, 0.85), returns, converged=False)
+        return replace(evaluate(GarchParams(0.05, 0.10, 0.85), returns), converged=False)
 
     monkeypatch.setattr("volclust.experiment.fit", unconverged_fit)
     out = tmp_path / "expnc"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from volclust.cli import _write_csv
 from volclust.dvc import (
     AnalysisConfig,
-    DvcPoint,
     DvcProfile,
     PipelineError,
     analyze,
@@ -80,11 +79,10 @@ def test_transition_counts_matches_oracle(indices):
 
 def test_profile_single_symbol_series():
     profile = dvc_profile(sym([1] * 100), min_count=10)
-    assert len(profile.points) == 1
-    point = profile.points[0]
-    assert point.s_value == pytest.approx(0.0, abs=1e-12)
-    assert point.abs_mean == pytest.approx(0.0, abs=1e-12)
-    assert point.count == 99
+    assert len(profile.s_values) == 1
+    assert profile.s_values[0] == pytest.approx(0.0, abs=1e-12)
+    assert profile.abs_means[0] == pytest.approx(0.0, abs=1e-12)
+    assert profile.counts[0] == 99
 
 
 def test_profile_threshold_excludes_everything():
@@ -108,27 +106,30 @@ def test_profile_matches_transition_matrix_oracle():
         abs_mean = sum(abs(scheme.centers[j]) * c for j, c in row.items()) / total
         expected.append((scheme.centers[symbol], abs_mean, total))
 
-    assert len(profile.points) == len(expected) == 5
-    for point, (s_value, abs_mean, count) in zip(profile.points, expected):
-        assert point.s_value == pytest.approx(s_value, abs=1e-12)
-        assert point.abs_mean == pytest.approx(abs_mean, abs=1e-12)
-        assert point.count == count
+    assert len(profile.s_values) == len(expected) == 5
+    for i, (s_value, abs_mean, count) in enumerate(expected):
+        assert profile.s_values[i] == pytest.approx(s_value, abs=1e-12)
+        assert profile.abs_means[i] == pytest.approx(abs_mean, abs=1e-12)
+        assert profile.counts[i] == count
 
 
 def test_profile_validation():
     with pytest.raises(ValueError, match="sorted"):
-        DvcProfile(points=(DvcPoint(1.0, 0.5, 10), DvcPoint(0.5, 0.5, 10)))
+        DvcProfile([1.0, 0.5], [0.5, 0.5], [10, 10])
     with pytest.raises(ValueError, match="nonnegative"):
-        DvcProfile(points=(DvcPoint(0.0, -0.1, 10),))
+        DvcProfile([0.0], [-0.1], [10])
     with pytest.raises(ValueError, match="at least one"):
-        DvcProfile(points=())
+        DvcProfile([], [], [])
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        DvcProfile([-1.0, 1.0], [0.5, 0.5], [10, 0])
+    with pytest.raises(ValueError, match="equal lengths"):
+        DvcProfile([-1.0, 1.0], [0.5, 0.5], [10])
 
 
 def test_profile_csv_export(tmp_path):
-    profile = DvcProfile(points=(DvcPoint(-1.0, 0.5, 10), DvcPoint(1.0, 0.75, 20)))
+    profile = DvcProfile([-1.0, 1.0], [0.5, 0.75], [10, 20])
     path = tmp_path / "profile.csv"
-    _write_csv(path, ("s_value", "abs_mean", "count"),
-               ((p.s_value, p.abs_mean, p.count) for p in profile.points))
+    _write_csv(path, ("s_value", "abs_mean", "count"), profile.rows())
     lines = path.read_bytes().decode("utf-8").split("\n")
     assert lines[0] == "s_value,abs_mean,count"
     assert lines[1] == "-1.0,0.5,10"
@@ -140,13 +141,7 @@ def test_profile_csv_export(tmp_path):
 
 
 def test_fit_exact_lines_both_sides():
-    profile = DvcProfile(points=(
-        DvcPoint(-2.0, 1.2, 10),
-        DvcPoint(-1.0, 0.6, 10),
-        DvcPoint(0.5, 0.25, 10),
-        DvcPoint(1.0, 0.5, 10),
-        DvcPoint(2.0, 1.0, 10),
-    ))
+    profile = DvcProfile([-2.0, -1.0, 0.5, 1.0, 2.0], [1.2, 0.6, 0.25, 0.5, 1.0], [10] * 5)
     result = fit_dvc(profile)
     assert result.dvc_p == pytest.approx(0.5, abs=1e-12)
     assert result.dvc_n == pytest.approx(-0.6, abs=1e-12)
@@ -155,33 +150,26 @@ def test_fit_exact_lines_both_sides():
 
 
 def test_fit_absolute_value_limit():
-    points = tuple(
-        DvcPoint(float(x), abs(float(x)), 5) for x in (-2, -1, 0, 1, 2)
-    )
-    result = fit_dvc(DvcProfile(points=points))
+    xs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    result = fit_dvc(DvcProfile(xs, np.abs(xs), [5] * 5))
     assert result.dvc_p == pytest.approx(1.0, abs=1e-12)
     assert result.dvc_n == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_fit_flat_profile_gives_zero_slopes():
-    points = tuple(DvcPoint(float(x), 0.8, 5) for x in (-2, -1, 0, 1, 2))
-    result = fit_dvc(DvcProfile(points=points))
+    result = fit_dvc(DvcProfile([-2.0, -1.0, 0.0, 1.0, 2.0], [0.8] * 5, [5] * 5))
     assert result.dvc_p == pytest.approx(0.0, abs=1e-12)
     assert result.dvc_n == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_requires_two_points_per_side():
-    pos_only = DvcProfile(points=(DvcPoint(0.0, 0.1, 5), DvcPoint(1.0, 0.2, 5)))
+    pos_only = DvcProfile([0.0, 1.0], [0.1, 0.2], [5, 5])
     with pytest.raises(ValueError, match="s_value < 0"):
         fit_dvc(pos_only)
-    lopsided = DvcProfile(points=(
-        DvcPoint(-1.0, 0.2, 5), DvcPoint(0.0, 0.1, 5), DvcPoint(1.0, 0.2, 5)
-    ))
+    lopsided = DvcProfile([-1.0, 0.0, 1.0], [0.2, 0.1, 0.2], [5, 5, 5])
     with pytest.raises(ValueError, match="s_value < 0"):
         fit_dvc(lopsided)
-    neg_heavy = DvcProfile(points=(
-        DvcPoint(-2.0, 0.3, 5), DvcPoint(-1.0, 0.2, 5), DvcPoint(1.0, 0.2, 5)
-    ))
+    neg_heavy = DvcProfile([-2.0, -1.0, 1.0], [0.3, 0.2, 0.2], [5, 5, 5])
     with pytest.raises(ValueError, match="s_value >= 0"):
         fit_dvc(neg_heavy)
 
@@ -193,11 +181,8 @@ def test_fit_requires_two_points_per_side():
 @settings(max_examples=50)
 def test_fit_recovers_exact_through_origin_slopes(pos_slope, neg_slope):
     xs = np.array([-2.0, -1.5, -1.0, 0.0, 0.5, 1.0, 2.0])
-    points = tuple(
-        DvcPoint(float(x), pos_slope * x if x >= 0 else -neg_slope * x, 5)
-        for x in xs
-    )
-    result = fit_dvc(DvcProfile(points=points))
+    means = [pos_slope * x if x >= 0 else -neg_slope * x for x in xs.tolist()]
+    result = fit_dvc(DvcProfile(xs, means, [5] * len(xs)))
     assert result.dvc_p == pytest.approx(pos_slope, abs=1e-12)
     assert result.dvc_n == pytest.approx(-neg_slope, abs=1e-12)
 
@@ -259,7 +244,7 @@ def test_analyze_detects_garch_clustering():
     assert result.dvc_p > 0.1
     assert result.dvc_n < -0.1
     # every profile point cleared the default threshold
-    assert all(p.count >= 100 for p in result.profile.points)
+    assert np.all(result.profile.counts >= 100)
 
 
 def test_analyze_stage_tagging():
