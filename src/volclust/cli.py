@@ -13,10 +13,11 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .dvc import AnalysisConfig, _run_stage, analyze
+from .dvc import PROFILE_COLUMNS, AnalysisConfig, _run_stage, analyze
 from .experiment import KINDS, run_experiment
 from .garch import GarchParams, simulate
 from .ingest import compute_returns, load_prices, prices_from_returns
@@ -82,11 +83,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# AnalysisConfig's fields: a bool reads as a yes/no word, any other as its default's type
 _CONFIG_KEYS = {
-    "n_bins": int,
-    "clip_sigmas": float,
-    "min_count": int,
-    "standardize_first": _parse_bool,
+    f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
+    for f in fields(AnalysisConfig)
 }
 _CONFIG_ALIASES = {"bins": "n_bins"}
 
@@ -128,7 +128,7 @@ def cmd_analyze(args) -> int:
     def write(out: Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "result.json").write_text(result.to_json(), encoding="utf-8")
-        _write_csv(out / "profile.csv", ("s_value", "abs_mean", "count"), result.profile.rows())
+        _write_csv(out / "profile.csv", PROFILE_COLUMNS, result.profile.rows())
         _write_json(
             out / "manifest.json",
             _manifest("analyze", config.to_json_dict(), [], [args.input]),
@@ -206,42 +206,29 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_report(args) -> int:
-    rows = []
+    rows = []  # one tuple per input, in REPORT_COLUMNS order
     for path in args.inputs:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
             dvc_n = float(data["dvc_n"])
-            rows.append(
-                {
-                    "input": str(path),
-                    "dvc_p": float(data["dvc_p"]),
-                    "dvc_n": dvc_n,
-                    "abs_dvc_n": abs(dvc_n),
-                    "n_points_pos": int(data["n_points_pos"]),
-                    "n_points_neg": int(data["n_points_neg"]),
-                    "status": "ok",
-                }
-            )
+            rows.append((str(path), float(data["dvc_p"]), dvc_n, abs(dvc_n),
+                         int(data["n_points_pos"]), int(data["n_points_neg"]), "ok"))
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            rows.append({**dict.fromkeys(REPORT_COLUMNS, ""), "input": str(path),
-                         "status": f"error: {exc}"})
+            rows.append((str(path), *[""] * (len(REPORT_COLUMNS) - 2), f"error: {exc}"))
 
     def write(out: Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "report.csv", REPORT_COLUMNS,
-                   ([row[col] for col in REPORT_COLUMNS] for row in rows))
+        _write_csv(out / "report.csv", REPORT_COLUMNS, rows)
         _write_json(out / "manifest.json", _manifest("report", {}, [], list(args.inputs)))
 
     _run_stage("write_outputs", write, Path(args.out))
 
-    widths = {col: max(len(col), *(len(_cell(row[col])) for row in rows)) for col in REPORT_COLUMNS}
-    print("  ".join(col.ljust(widths[col]) for col in REPORT_COLUMNS))
-    for row in rows:
-        print("  ".join(_cell(row[col]).ljust(widths[col]) for col in REPORT_COLUMNS))
+    table = [REPORT_COLUMNS, *([_cell(value) for value in row] for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    for line in table:
+        print("  ".join(text.ljust(width) for text, width in zip(line, widths)))
     print(_SLOPE_NOTE)
-
-    ok = sum(1 for row in rows if row["status"] == "ok")
-    return 0 if ok >= 1 else 1
+    return 0 if any(row[-1] == "ok" for row in rows) else 1
 
 
 def _cell(value) -> str:
@@ -251,12 +238,12 @@ def _cell(value) -> str:
 
 
 def _add_analysis_flags(parser) -> None:
-    parser.add_argument("--bins", dest="n_bins", metavar="BINS", type=int, default=None,
-                        help="number of bins, odd and >= 3 (default 41)")
-    parser.add_argument("--clip-sigmas", dest="clip_sigmas", type=float, default=None,
-                        help="binning half-range in sample stdevs (default 3)")
-    parser.add_argument("--min-count", dest="min_count", type=int, default=None,
-                        help="minimum transitions per profile point (default 100)")
+    parser.add_argument("--bins", dest="n_bins", metavar="BINS", type=_CONFIG_KEYS["n_bins"],
+                        default=None, help="number of bins, odd and >= 3 (default 41)")
+    parser.add_argument("--clip-sigmas", dest="clip_sigmas", type=_CONFIG_KEYS["clip_sigmas"],
+                        default=None, help="binning half-range in sample stdevs (default 3)")
+    parser.add_argument("--min-count", dest="min_count", type=_CONFIG_KEYS["min_count"],
+                        default=None, help="minimum transitions per profile point (default 100)")
     parser.add_argument("--standardize", dest="standardize_first",
                         action=argparse.BooleanOptionalAction, default=None,
                         help="standardize returns before binning (default on)")
@@ -270,11 +257,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="analyze a timestamp,price CSV")
+    p.set_defaults(handler=cmd_analyze)
     p.add_argument("input", help="input price CSV")
     p.add_argument("--out", required=True, help="output directory")
     _add_analysis_flags(p)
 
     p = sub.add_parser("simulate", help="simulate a GARCH(1,1) price CSV")
+    p.set_defaults(handler=cmd_simulate)
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
@@ -283,6 +272,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("experiment", help="raw vs transformed comparison over seeds")
+    p.set_defaults(handler=cmd_experiment)
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True, help="returns per simulated series")
     p.add_argument("--seeds", required=True, help="comma-separated integer seeds")
@@ -293,18 +283,11 @@ def _build_parser() -> _Parser:
     _add_analysis_flags(p)
 
     p = sub.add_parser("report", help="tabulate result.json files")
+    p.set_defaults(handler=cmd_report)
     p.add_argument("inputs", nargs="+", help="result.json files")
     p.add_argument("--out", required=True, help="output directory")
 
     return parser
-
-
-_HANDLERS = {
-    "analyze": cmd_analyze,
-    "simulate": cmd_simulate,
-    "experiment": cmd_experiment,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -314,7 +297,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -54,6 +54,10 @@ class AnalysisConfig:
         }
 
 
+# the columns of profile.csv and the keys of each profile entry in result.json
+PROFILE_COLUMNS = ("s_value", "abs_mean", "count")
+
+
 @dataclass(frozen=True, eq=False)
 class DvcProfile:
     """One entry per kept symbol, by strictly increasing symbol value.
@@ -82,7 +86,7 @@ class DvcProfile:
             raise ValueError("points must be sorted by strictly increasing s_value")
 
     def rows(self) -> list[tuple[float, float, int]]:
-        """(s_value, abs_mean, count) per point in Python numbers, as written out."""
+        """One tuple per point in ``PROFILE_COLUMNS`` order, in Python numbers, as written out."""
         return list(zip(self.s_values.tolist(), self.abs_means.tolist(), self.counts.tolist()))
 
     def __eq__(self, other):
@@ -109,9 +113,7 @@ class DvcResult:
             "dvc_n": float(self.dvc_n),
             "n_points_pos": self.n_points_pos,
             "n_points_neg": self.n_points_neg,
-            "profile": [
-                {"s_value": s, "abs_mean": m, "count": c} for s, m, c in self.profile.rows()
-            ],
+            "profile": [dict(zip(PROFILE_COLUMNS, row)) for row in self.profile.rows()],
             "config": self.config.to_json_dict() if self.config is not None else None,
         }
 

@@ -61,7 +61,7 @@ class GarchParams:
         return {"omega": float(self.omega), "alpha": float(self.alpha), "beta": float(self.beta)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GarchFit:
     """Fitted parameters with the conditional variance path they imply."""
 
@@ -268,6 +268,8 @@ def fit(returns: ReturnSeries) -> GarchFit:
         raise ValueError(
             f"need at least {MIN_FIT_LENGTH} returns for a meaningful fit, got {len(returns)}"
         )
+    if returns.stdev <= 0.0:
+        raise ValueError("cannot fit a zero-variance return series")
     start = GarchParams(omega=0.1 * returns.stdev**2, alpha=0.05, beta=0.90)
     persistence = start.alpha + start.beta
     theta = np.array(

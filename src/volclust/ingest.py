@@ -43,7 +43,7 @@ class _OrderError(ValueError):
         super().__init__(f"timestamps must be strictly increasing (position {position})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
     """A tick series: read-only arrays of strictly increasing timestamps and positive prices."""
 
@@ -55,7 +55,12 @@ class PriceSeries:
         if timestamps.dtype.kind == "f" and all(isinstance(t, int) for t in self.timestamps):
             # Python ints no one integer dtype holds, such as -1 with 2**63: keep them exact
             timestamps = np.array(self.timestamps, dtype=object)
-        timestamps = timestamps.view()  # the caller's array stays writable
+        base = timestamps
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:
+            # it, or an array or buffer it views, can still be written: keep a copy
+            timestamps = timestamps.copy()
         timestamps.setflags(write=False)
         object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "prices", _frozen_array(self.prices, float))
@@ -82,7 +87,7 @@ class PriceSeries:
             writer.writerows(zip(self.timestamps.tolist(), map(repr, self.prices.tolist())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSeries:
     """Finite log returns with their sample mean and stdev (n-1 denominator).
 
@@ -99,10 +104,14 @@ class ReturnSeries:
             raise ValueError("return series must be nonempty")
         if not np.all(np.isfinite(values)):
             raise ValueError("returns must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            mean = float(np.mean(values))
+            # stdev of a single observation is defined as 0 (cannot be standardized)
+            stdev = float(np.std(values, ddof=1)) if len(values) >= 2 else 0.0
+        if not (math.isfinite(mean) and math.isfinite(stdev)):
+            raise ValueError("the sample mean or variance of the returns overflows")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mean", float(np.mean(values)))
-        # stdev of a single observation is defined as 0 (cannot be standardized)
-        stdev = float(np.std(values, ddof=1)) if len(values) >= 2 else 0.0
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "stdev", stdev)
 
     @classmethod
@@ -174,6 +183,7 @@ def _read_columns(data: bytes, path: str | Path | None = None) -> PriceSeries:
     source = path if reread else io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
     table = np.loadtxt(source, dtype=[("t", ts_dtype), ("p", "f8")], delimiter=",",
                        comments=None, skiprows=1, ndmin=1, encoding="utf-8")
+    table.setflags(write=False)  # PriceSeries then keeps a view of it, with no copy
     return PriceSeries(timestamps=table["t"], prices=table["p"])
 
 

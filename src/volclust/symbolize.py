@@ -14,7 +14,7 @@ import numpy as np
 from .ingest import ReturnSeries, _frozen_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinningScheme:
     """A partition of the real line by strictly increasing edges.
 
@@ -38,7 +38,7 @@ class BinningScheme:
         object.__setattr__(self, "centers", _frozen_array(0.5 * (edges[:-1] + edges[1:]), float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolicSeries:
     """Bin indices of a return series under a fixed scheme."""
 

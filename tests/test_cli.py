@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -278,6 +280,19 @@ def test_experiment_records_per_seed_failures(tmp_path):
     assert code == 1
     (failure,) = json.loads((out / "experiment.json").read_text())["failures"]
     assert failure["error"].startswith("fit: need at least 500 returns")
+
+
+def test_experiment_with_overflowing_variance_fails_at_simulate(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    argv = ["experiment", "--kind", "surrogate", "--n", "5000", "--seeds", "1",
+            "--omega", "1e306", "--out", str(tmp_path / "e")]
+    done = subprocess.run([sys.executable, "-m", "volclust.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == ("seed 1 failed: simulate: the sample mean or variance of the "
+                           "returns overflows\nerror: all seeds failed\n")
 
 
 def test_experiment_rejects_bad_seeds(tmp_path, capsys):

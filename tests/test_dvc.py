@@ -15,9 +15,10 @@ from volclust.dvc import (
     fit_dvc,
     transition_counts,
 )
-from volclust.ingest import ReturnSeries
+from volclust.garch import GarchParams, evaluate
+from volclust.ingest import PriceSeries, ReturnSeries
 from volclust.surrogate import iid_gaussian
-from volclust.symbolize import SymbolicSeries, build_bins
+from volclust.symbolize import BinningScheme, SymbolicSeries, build_bins
 
 UNIT = ReturnSeries.from_values([-1.0, 0.0, 1.0])
 THREE = build_bins(UNIT, n_bins=3, clip_sigmas=3.0)       # centers [-2, 0, 2]
@@ -213,6 +214,24 @@ def test_analyze_is_deterministic():
     second = analyze(series)
     assert first == second
     assert first.to_json() == second.to_json()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PriceSeries(np.arange(3), [1.0, 2.0, 3.0]),
+        lambda: iid_gaussian(1000, 1.0, 1),
+        lambda: BinningScheme(np.array([-1.5, -0.5, 0.5, 1.5])),
+        lambda: sym([0, 1, 2]),
+        lambda: evaluate(GarchParams(0.05, 0.10, 0.85), iid_gaussian(1000, 1.0, 1)),
+    ],
+    ids=["PriceSeries", "ReturnSeries", "BinningScheme", "SymbolicSeries", "GarchFit"],
+)
+def test_array_value_types_compare_by_identity(make):
+    # like the numpy arrays they hold; DvcProfile and DvcResult compare by value
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_analyze_iid_series_is_flat():

@@ -384,6 +384,11 @@ def test_fit_rejects_short_series():
         fit(iid_gaussian(499, 1.0, 1))
 
 
+def test_fit_rejects_zero_variance_series():
+    with pytest.raises(ValueError, match="cannot fit a zero-variance return series"):
+        fit(ReturnSeries(np.zeros(600)))
+
+
 # --- filter -------------------------------------------------------------------
 
 

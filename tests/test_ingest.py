@@ -251,6 +251,16 @@ def test_return_series_rejects_nonfinite():
         ReturnSeries.from_values([0.1, np.nan])
 
 
+@pytest.mark.parametrize(
+    "values", [np.array([1.0, -2.0, 3.0]) * 1e160, np.full(10, 1e308)], ids=["variance", "mean"]
+)
+def test_return_series_rejects_overflowing_moments(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sample mean or variance of the returns overflows"):
+            ReturnSeries.from_values(values)
+
+
 def test_standardize_two_point_series():
     out = standardize(ReturnSeries.from_values([-1.0, 1.0]))
     assert out.values[0] == -out.values[1]
@@ -521,3 +531,16 @@ def test_price_series_keeps_the_callers_array_writable():
     stamps = np.arange(3)
     series = PriceSeries(timestamps=stamps, prices=np.ones(3))
     assert stamps.flags.writeable and not series.timestamps.flags.writeable
+
+
+def test_price_series_timestamps_ignore_later_writes_by_the_caller():
+    stamps = np.arange(3)
+    read_only_view = stamps[:]
+    read_only_view.setflags(write=False)
+    for given in (stamps, read_only_view):
+        series = PriceSeries(given, [1.0, 2.0, 3.0])
+        stamps[0] = 5
+        assert series.timestamps.tolist() == [0, 1, 2]
+        stamps[0] = 0
+    # nothing else can write np.loadtxt's table, so the columnar reader's timestamps view it
+    assert load_prices(b"timestamp,price\n1,1.0\n2,2.0\n").timestamps.base is not None
