@@ -12,7 +12,7 @@ dependence, and move apart (positive / negative) when volatility clusters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -46,12 +46,8 @@ class AnalysisConfig:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_bins": self.n_bins,
-            "clip_sigmas": float(self.clip_sigmas),
-            "min_count": self.min_count,
-            "standardize_first": bool(self.standardize_first),
-        }
+        """Every field, in the Python type of its default."""
+        return {f.name: type(f.default)(getattr(self, f.name)) for f in fields(self)}
 
 
 # the columns of profile.csv and the keys of each profile entry in result.json
@@ -196,6 +192,22 @@ def _run_stage(stage, func, *args):
         raise PipelineError(stage, str(exc)) from exc
 
 
+def symbolize_returns(returns: ReturnSeries, config: AnalysisConfig) -> SymbolicSeries:
+    """The first half of ``analyze``: standardize, bin and symbolize."""
+    work = returns
+    if config.standardize_first:
+        work = _run_stage("standardize", standardize, returns)
+    scheme = _run_stage("build_bins", build_bins, work, config.n_bins, config.clip_sigmas)
+    return _run_stage("symbolize", symbolize, work, scheme)
+
+
+def analyze_symbols(series: SymbolicSeries, config: AnalysisConfig) -> DvcResult:
+    """The second half of ``analyze``: profile the symbols and fit the slopes."""
+    profile = _run_stage("dvc_profile", dvc_profile, series, config.min_count)
+    result = _run_stage("fit_dvc", fit_dvc, profile)
+    return replace(result, config=config)
+
+
 def analyze(returns: ReturnSeries, config: AnalysisConfig | None = None) -> DvcResult:
     """Run the full pipeline: standardize, bin, symbolize, profile, fit.
 
@@ -203,11 +215,4 @@ def analyze(returns: ReturnSeries, config: AnalysisConfig | None = None) -> DvcR
     of the stage that raised them.
     """
     cfg = config if config is not None else AnalysisConfig()
-    work = returns
-    if cfg.standardize_first:
-        work = _run_stage("standardize", standardize, returns)
-    scheme = _run_stage("build_bins", build_bins, work, cfg.n_bins, cfg.clip_sigmas)
-    sym = _run_stage("symbolize", symbolize, work, scheme)
-    profile = _run_stage("dvc_profile", dvc_profile, sym, cfg.min_count)
-    result = _run_stage("fit_dvc", fit_dvc, profile)
-    return replace(result, config=cfg)
+    return analyze_symbols(symbolize_returns(returns, cfg), cfg)

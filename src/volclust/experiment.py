@@ -1,15 +1,20 @@
 """The validation experiments: raw GARCH series against the same series with
 the clustering removed, by shuffling (``surrogate``) or by dividing out the
 fitted conditional stdev (``garch-filter``), seed by seed, with medians.
+
+The surrogate kind symbolizes each raw series once. Its transformed series
+is the raw series' symbols permuted by ``shuffle_symbols``, with the draws
+that ``shuffle`` would apply to the returns, so it keeps the raw series'
+bins rather than re-deriving them from a shuffled copy.
 """
 
 from __future__ import annotations
 
 import statistics
 
-from .dvc import AnalysisConfig, _run_stage, analyze
+from .dvc import AnalysisConfig, _run_stage, analyze, analyze_symbols, symbolize_returns
 from .garch import GarchParams, filter_returns, fit, simulate
-from .surrogate import shuffle
+from .surrogate import shuffle_symbols
 
 KINDS = ("surrogate", "garch-filter")
 
@@ -31,16 +36,19 @@ def run_experiment(
     for seed in seeds:
         try:
             raw = _run_stage("simulate", simulate, params, n, seed)
-            raw_result = analyze(raw, config)
+            symbols = symbolize_returns(raw, config)
+            raw_result = analyze_symbols(symbols, config)
             if kind == "surrogate":
                 shuffle_seed = (seed + SHUFFLE_SEED_OFFSET) % 2**64
-                transformed = _run_stage("shuffle", shuffle, raw, shuffle_seed)
+                shuffled = _run_stage("shuffle", shuffle_symbols, symbols, shuffle_seed)
+                transformed_result = analyze_symbols(shuffled, config)
             else:
+                symbols = None  # not held through the fit
                 fitted = _run_stage("fit", fit, raw)
                 if not fitted.converged:
                     not_converged.append(int(seed))
                 transformed = _run_stage("filter_returns", filter_returns, raw, fitted)
-            transformed_result = analyze(transformed, config)
+                transformed_result = analyze(transformed, config)
             rows.append(
                 {
                     "seed": int(seed),
@@ -54,8 +62,11 @@ def run_experiment(
         except ValueError as exc:
             failures.append({"seed": int(seed), "error": str(exc)})
         # drop this seed's series before the next one is simulated, so that
-        # memory holds one seed's series at a time, not two
-        raw = fitted = transformed = None
+        # memory holds one seed's series at a time, not two; its results go
+        # too, as their small buffers would split the heap's holes that
+        # simulate reuses, and peak memory would then depend on the layout
+        raw = symbols = shuffled = fitted = transformed = None
+        raw_result = transformed_result = None
 
     def _median(group: str, side: str, absolute: bool) -> float:
         values = (row[group][side] for row in rows)

@@ -15,7 +15,7 @@ parameters stationary by construction; numpy is the only dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,8 +38,7 @@ class GarchParams:
     beta: float
 
     def __post_init__(self):
-        for name in ("omega", "alpha", "beta"):
-            value = getattr(self, name)
+        for name, value in self.to_json_dict().items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.omega > 0.0:
@@ -58,7 +57,7 @@ class GarchParams:
         return self.omega / (1.0 - self.alpha - self.beta)
 
     def to_json_dict(self) -> dict:
-        return {"omega": float(self.omega), "alpha": float(self.alpha), "beta": float(self.beta)}
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)

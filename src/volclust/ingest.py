@@ -27,6 +27,7 @@ _COMMA, _NEWLINE = ord(","), ord("\n")
 _PLAIN = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
 _PACKED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes that np.loadtxt decompresses
 _INITIAL_PRICE = 100.0
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -108,6 +109,15 @@ class ReturnSeries:
             mean = float(np.mean(values))
             # stdev of a single observation is defined as 0 (cannot be standardized)
             stdev = float(np.std(values, ddof=1)) if len(values) >= 2 else 0.0
+        if len(values) >= 2 and stdev < math.sqrt(_TINY / (len(values) - 1)):
+            # Below this bound every squared deviation underflowed, so the stdev
+            # may read 0 for values that differ: take the moments of the values
+            # scaled by their largest magnitude. A constant series keeps them.
+            scale = float(np.max(np.abs(values)))
+            if scale > 0.0:
+                scaled = values / scale
+                mean = float(np.mean(scaled)) * scale
+                stdev = float(np.std(scaled, ddof=1)) * scale
         if not (math.isfinite(mean) and math.isfinite(stdev)):
             raise ValueError("the sample mean or variance of the returns overflows")
         object.__setattr__(self, "values", values)

@@ -79,7 +79,13 @@ def build_bins(returns: ReturnSeries, n_bins: int, clip_sigmas: float) -> Binnin
     upper = np.linspace(span / n_bins, span, (n_bins + 1) // 2)
     offsets = np.concatenate([-upper[::-1], upper])
     mean = 0.0 if abs(returns.mean) <= 1e-12 * returns.stdev else returns.mean
-    return BinningScheme(edges=mean + offsets)
+    edges = mean + offsets
+    if not np.all(np.diff(edges) > 0):
+        raise ValueError(
+            f"clip_sigmas {clip_sigmas} times stdev {returns.stdev} is too narrow "
+            f"to split into {n_bins} bins around mean {returns.mean}"
+        )
+    return BinningScheme(edges=edges)
 
 
 def symbolize(returns: ReturnSeries, scheme: BinningScheme) -> SymbolicSeries:
@@ -87,8 +93,27 @@ def symbolize(returns: ReturnSeries, scheme: BinningScheme) -> SymbolicSeries:
 
     Bins are half-open [low, high); values below the first edge clip into
     bin 0, values at or above the last edge clip into bin n_bins - 1, so
-    every finite return gets exactly one symbol.
+    every finite return gets exactly one symbol: the count of inner edges
+    at or below the value.
     """
-    # the count of inner edges at or below a value is its bin index
-    idx = np.searchsorted(scheme.edges[1:-1], returns.values, side="right")
+    edges, k, x = scheme.edges, scheme.n_bins, returns.values
+    # Guess each bin by arithmetic, as if the bins had equal widths. The cast
+    # truncates toward zero, which differs from the floor only below bin 0,
+    # and comes before the clip, so a NaN or inf guess (a span too wide or too
+    # narrow for the float range) lands inside the alphabet, where the check decides.
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = x - edges[0]
+        work *= k / (edges[-1] - edges[0])
+        idx = work.astype(np.int64)
+    np.clip(idx, 0, k - 1, out=idx)
+    # keep a guess only if its stored edges hold the value, the outer bins open;
+    # mode="clip" lets take write into ``work`` without an n-sized buffer
+    low, high = edges[:-1].copy(), edges[1:].copy()
+    low[0], high[-1] = -np.inf, np.inf
+    ok = np.take(low, idx, mode="clip", out=work) <= x
+    ok &= x < np.take(high, idx, mode="clip", out=work)
+    del work  # before SymbolicSeries copies the indices
+    if not ok.all():
+        miss = ~ok
+        idx[miss] = np.searchsorted(edges[1:-1], x[miss], side="right")
     return SymbolicSeries(indices=idx, scheme=scheme)

@@ -14,7 +14,7 @@ from volclust.cli import main
 from volclust.dvc import AnalysisConfig, analyze
 from volclust.experiment import run_experiment
 from volclust.garch import GarchParams, evaluate, simulate
-from volclust.ingest import PriceSeries
+from volclust.ingest import PriceSeries, compute_returns, load_prices
 
 PARAMS = ["--omega", "0.05", "--alpha", "0.10", "--beta", "0.85"]
 
@@ -117,6 +117,18 @@ def test_analyze_short_input_names_failing_stage(tmp_path, capsys):
     path.write_bytes(b"timestamp,price\n1,1.0\r2,2.0\n")
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "load_prices: line 2:" in capsys.readouterr().err
+
+
+def test_analyze_bin_span_too_narrow_to_split(tmp_path, capsys):
+    csv_path = _simulate_csv(tmp_path, n=500)
+    returns = compute_returns(load_prices(csv_path))
+    code = main(["analyze", str(csv_path), "--no-standardize", "--clip-sigmas", "1e-300",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: build_bins: clip_sigmas 1e-300 times stdev {returns.stdev} is too narrow "
+        f"to split into 41 bins around mean {returns.mean}\n"
+    )
 
 
 def _tick_csv(path, zero_share, n=200_000, seed=5):

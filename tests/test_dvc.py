@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -206,6 +207,15 @@ def test_analyze_config_validation():
         AnalysisConfig(clip_sigmas=-1.0)
     with pytest.raises(ValueError, match="clip_sigmas"):
         AnalysisConfig(clip_sigmas=float("inf"))
+
+
+def test_config_json_holds_every_field():
+    config = AnalysisConfig(n_bins=21, clip_sigmas=2, min_count=5, standardize_first=False)
+    payload = config.to_json_dict()
+    assert list(payload) == [f.name for f in fields(AnalysisConfig)]
+    assert json.dumps(payload) == (
+        '{"n_bins": 21, "clip_sigmas": 2.0, "min_count": 5, "standardize_first": false}'
+    )
 
 
 def test_analyze_is_deterministic():

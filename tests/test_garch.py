@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,12 @@ def test_params_stationarity_enforced():
         GarchParams(omega=0.1, alpha=0.1, beta=-0.1)
     with pytest.raises(ValueError, match="finite"):
         GarchParams(omega=math.nan, alpha=0.1, beta=0.1)
+
+
+def test_params_json_holds_every_field():
+    payload = GarchParams(omega=1, alpha=0.1, beta=0.85).to_json_dict()
+    assert list(payload) == [f.name for f in fields(GarchParams)]
+    assert json.dumps(payload) == '{"omega": 1.0, "alpha": 0.1, "beta": 0.85}'
 
 
 def test_unconditional_variance():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volclust import ingest
+from volclust.dvc import AnalysisConfig, analyze
 from volclust.ingest import (
     PriceSeries,
     ReturnSeries,
@@ -244,6 +245,25 @@ def test_return_series_caches_match_recomputation():
     assert ReturnSeries.from_values([0.5]).stdev == 0.0
     with pytest.raises(TypeError):
         ReturnSeries(values=values, mean=series.mean, stdev=series.stdev)
+
+
+def test_return_series_keeps_the_variance_of_tiny_returns():
+    # squaring these deviations underflows to 0, which read as a zero variance
+    values = np.random.default_rng(0).normal(size=600)
+    tiny = ReturnSeries.from_values(values * 1e-170)
+    unit = ReturnSeries.from_values(values)
+    assert tiny.stdev > 0.0
+    assert math.isclose(tiny.stdev, unit.stdev * 1e-170, rel_tol=1e-12)
+    assert math.isclose(tiny.mean, unit.mean * 1e-170, rel_tol=1e-12)
+    config = AnalysisConfig(n_bins=5, min_count=10)  # 600 returns fill few bins
+    tiny_result, unit_result = analyze(tiny, config), analyze(unit, config)
+    assert tiny_result.profile.counts.tolist() == unit_result.profile.counts.tolist()
+    assert math.isclose(tiny_result.dvc_p, unit_result.dvc_p, rel_tol=1e-12)
+    assert math.isclose(tiny_result.dvc_n, unit_result.dvc_n, rel_tol=1e-12)
+    # constant series stay constant, whatever their scale
+    for value in (1e-170, -3e-300, 0.5):
+        assert ReturnSeries.from_values([value] * 4).stdev == 0.0
+        assert ReturnSeries.from_values([value] * 4).mean == value
 
 
 def test_return_series_rejects_nonfinite():

@@ -3,10 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volclust.dvc import analyze
+from volclust.dvc import (
+    AnalysisConfig,
+    analyze,
+    analyze_symbols,
+    symbolize_returns,
+    transition_counts,
+)
+from volclust.experiment import SHUFFLE_SEED_OFFSET
 from volclust.garch import GarchParams, simulate
 from volclust.ingest import ReturnSeries
-from volclust.surrogate import generator, iid_gaussian, shuffle
+from volclust.surrogate import generator, iid_gaussian, shuffle, shuffle_symbols
+from volclust.symbolize import build_bins, symbolize
 
 
 def test_shuffle_single_element_is_identity():
@@ -92,3 +100,28 @@ def test_generator_is_pcg64():
     # the documented algorithm is pinned; a silent change would break
     # seed-reproducibility guarantees
     assert type(generator(0).bit_generator).__name__ == "PCG64"
+
+
+def test_shuffle_symbols_orders_symbols_as_shuffle_orders_returns():
+    series = iid_gaussian(5_000, 1.0, 3)
+    scheme = build_bins(series, n_bins=41, clip_sigmas=3.0)
+    symbols = symbolize(series, scheme)
+    for seed in (1, 2**32 + 1, 2**64 - 1):
+        shuffled = shuffle_symbols(symbols, seed)
+        assert shuffled.scheme is scheme
+        assert np.array_equal(shuffled.indices, symbolize(shuffle(series, seed), scheme).indices)
+
+
+def test_shuffled_symbols_count_as_a_shuffled_and_resymbolized_series():
+    # the surrogate experiment keeps the raw series' bins; re-deriving them from
+    # the shuffled copy moves them by ulps, which moves no symbol on these seeds
+    params, config = GarchParams(omega=0.05, alpha=0.10, beta=0.85), AnalysisConfig()
+    for seed in range(1, 21):
+        raw = simulate(params, 20_000, seed)
+        shuffle_seed = seed + SHUFFLE_SEED_OFFSET
+        permuted = shuffle_symbols(symbolize_returns(raw, config), shuffle_seed)
+        resymbolized = symbolize_returns(shuffle(raw, shuffle_seed), config)
+        assert np.array_equal(transition_counts(permuted), transition_counts(resymbolized))
+        fast, slow = analyze_symbols(permuted, config), analyze_symbols(resymbolized, config)
+        assert abs(fast.dvc_p - slow.dvc_p) <= 1e-15
+        assert abs(fast.dvc_n - slow.dvc_n) <= 1e-15

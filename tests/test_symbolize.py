@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from volclust.ingest import ReturnSeries, standardize
@@ -135,3 +135,57 @@ def test_symbolization_is_monotone(values):
     ordered = sorted(values)
     sym = symbolize(ReturnSeries.from_values(ordered), scheme)
     assert np.all(np.diff(sym.indices) >= 0)
+
+
+def searchsorted_bins(scheme, values):
+    """The definition of a symbol: the count of inner edges at or below the value."""
+    return np.searchsorted(scheme.edges[1:-1], values, side="right").tolist()
+
+
+def edge_probes(edges):
+    """Every edge, one ulp either side of it, and values far outside the scheme."""
+    edges = np.asarray(edges)
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return np.concatenate([near, [-1e150, 1e150]])
+
+
+@given(
+    st.integers(min_value=1, max_value=50),
+    st.floats(min_value=-8.0, max_value=6.0),
+    st.floats(min_value=-5.0, max_value=5.0).filter(lambda m: m != 0.0),
+    st.floats(min_value=0.5, max_value=5.0),
+    st.lists(st.floats(min_value=-10.0, max_value=10.0), max_size=50),
+)
+@settings(max_examples=200)
+def test_symbolize_matches_searchsorted_on_built_schemes(half, log_scale, mean, clip, inner):
+    # 3 to 101 bins, stdev from 1e-8 to 1e6, a mean of up to 5 stdevs either side of 0
+    scale = 10.0**log_scale
+    series = ReturnSeries.from_values(mean * scale + scale * np.array([-1.0, 0.0, 1.0]))
+    scheme = build_bins(series, n_bins=2 * half + 1, clip_sigmas=clip)
+    values = np.concatenate([edge_probes(scheme.edges), mean * scale + scale * np.array(inner)])
+    assert symbolize(ReturnSeries.from_values(values), scheme).indices.tolist() == \
+        searchsorted_bins(scheme, values)
+
+
+@given(
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=3, max_size=21)
+    .filter(lambda widths: len(widths) % 2 == 1),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.lists(st.floats(min_value=-1e5, max_value=1e5), max_size=50),
+)
+@settings(max_examples=200)
+def test_symbolize_matches_searchsorted_on_unequal_widths(widths, start, inner):
+    edges = start + np.concatenate([[0.0], np.cumsum(widths)])
+    assume(np.all(np.diff(edges) > 0))  # no width lost to rounding against the start
+    scheme = BinningScheme(edges=edges)
+    values = np.concatenate([edge_probes(edges), inner])
+    assert symbolize(ReturnSeries.from_values(values), scheme).indices.tolist() == \
+        searchsorted_bins(scheme, values)
+
+
+def test_symbolize_matches_searchsorted_when_the_scale_overflows():
+    # 41 / 2e-307 overflows, so the guess at the first edge is 0 * inf = NaN
+    scheme = BinningScheme(np.linspace(-1e-307, 1e-307, 42))
+    values = np.concatenate([edge_probes(scheme.edges), [0.0, 5e-308, -3e-308]])
+    assert symbolize(ReturnSeries.from_values(values), scheme).indices.tolist() == \
+        searchsorted_bins(scheme, values)
