@@ -151,7 +151,8 @@ def cmd_simulate(args) -> int:
     def write(out: Path) -> None:
         out.parent.mkdir(parents=True, exist_ok=True)
         prices.write_csv(out)
-        config = {**params.to_json_dict(), "n": args.n}
+        config = {**params.to_json_dict(), "n": args.n,
+                  "initial_price": float(prices.prices[0])}
         _write_json(
             Path(f"{out}.manifest.json"),
             _manifest("simulate", config, [args.seed], []),

@@ -8,8 +8,8 @@ discards a burn-in; likelihood evaluation initializes at the sample variance
 of the data. Simulation, the variance path and the score's sensitivities
 all run the recursion through one numpy prefix scan, ``_affine_scan``.
 Fitting runs damped Fisher scoring on the analytic score and expected
-information, over an unconstrained reparameterization that keeps the
-parameters stationary by construction; numpy is the only dependency.
+information in (omega / v0, alpha, beta), v0 the sample variance, projected
+onto the stationary region; numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -170,98 +170,98 @@ def gaussian_log_likelihood(values: np.ndarray, variances: np.ndarray) -> float:
 
 
 def evaluate(params: GarchParams, returns: ReturnSeries) -> GarchFit:
-    """Build a GarchFit for given (not optimized) parameters on the data."""
+    """The likelihood and variance path at given parameters, with no search.
+
+    For filtering with known parameters, such as a simulation's own, and as
+    the fit's test oracle: ``evaluate(fit(r).params, r)`` reproduces the
+    fit's log-likelihood and variances exactly.
+    """
     variances = variance_path(params, returns.values)
     return GarchFit(params, gaussian_log_likelihood(returns.values, variances), variances, True)
 
 
-def _sigmoid(t: float) -> float:
-    # stable for arbitrarily large |t|
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
-
-
-_LOG_OMEGA_BOUND = 700.0
 _MAX_PERSISTENCE = 1.0 - 1e-12
+_MIN_OMEGA_RATIO = 1e-12  # floor of omega / v0, as far from 0 as the cap is from 1
+# the fit's region as outward normals and limits: omega / v0, alpha and beta
+# at their floors, and alpha + beta at the cap
+_NORMALS = np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
+_LIMITS = np.array([-_MIN_OMEGA_RATIO, 0.0, 0.0, _MAX_PERSISTENCE])
 
 
-def _unpack(theta: np.ndarray) -> GarchParams:
-    # clamps keep the map total: any theta yields valid stationary params
-    omega = math.exp(min(max(theta[0], -_LOG_OMEGA_BOUND), _LOG_OMEGA_BOUND))
-    persistence = min(_sigmoid(theta[1]), _MAX_PERSISTENCE)
-    share = _sigmoid(theta[2])
-    return GarchParams(omega=omega, alpha=persistence * share, beta=persistence * (1.0 - share))
+def _params(p: np.ndarray, v0: float) -> GarchParams:
+    omega_ratio, alpha, beta = p.tolist()
+    return GarchParams(omega=omega_ratio * v0, alpha=alpha, beta=beta)
 
 
-def _nll(theta: np.ndarray, values: np.ndarray, v0: float) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood at ``_unpack(theta)`` from sigma^2_0 = v0, and the variance path."""
-    variances = variance_path(_unpack(theta), values, initial_variance=v0)
+def _nll(p: np.ndarray, values: np.ndarray, v0: float) -> tuple[float, np.ndarray]:
+    """NLL at p = (omega / v0, alpha, beta) from sigma^2_0 = v0, and the variance path."""
+    variances = variance_path(_params(p, v0), values, initial_variance=v0)
     return -gaussian_log_likelihood(values, variances), variances
 
 
 def _sensitivities(beta: float, squares: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """D_t = d sigma^2_t / d(omega, alpha, beta) as rows, from D_0 = 0.
+    """D_t = d sigma^2_t / d(omega / v0, alpha, beta) as rows, from D_0 = 0.
 
-    D_t = (1, r^2_{t-1}, sigma^2_{t-1}) + beta * D_{t-1}: one ``_affine_scan`` a row.
+    With v0 = sigma^2_0, D_t = (v0, r^2_{t-1}, sigma^2_{t-1}) + beta * D_{t-1}:
+    one ``_affine_scan`` a row, every row in units of variance.
     """
-    offsets = (np.ones(len(squares) - 1), squares[:-1], variances[:-1])
+    offsets = (np.full(len(squares) - 1, variances[0]), squares[:-1], variances[:-1])
     return np.array([_affine_scan(0.0, beta, offset) for offset in offsets])
 
 
 def _score_and_information(
-    theta: np.ndarray, squares: np.ndarray, variances: np.ndarray
+    p: np.ndarray, squares: np.ndarray, variances: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score and expected information of the negative log-likelihood in theta.
+    """Score and expected information of the negative log-likelihood in p.
 
-    ``variances`` is the variance path at ``_unpack(theta)`` and ``squares``
-    the squared returns. With g_t = d nll / d sigma^2_t, the score in
-    (omega, alpha, beta) is sum_t g_t D_t and the information is
+    ``variances`` is the variance path at p = (omega / v0, alpha, beta) and
+    ``squares`` the squared returns. With g_t = d nll / d sigma^2_t, the
+    score is sum_t g_t D_t and the information is
     1/2 sum_t D_t D_t^T / sigma^4_t (Fiorentini, Calzolari & Panattoni 1996).
-    The Jacobian of ``_unpack`` carries both to theta; its column is zero
-    where one of the clamps is active.
     """
-    params = _unpack(theta)
-    sens = _sensitivities(params.beta, squares, variances)
+    sens = _sensitivities(p[2], squares, variances)
     g = 0.5 * (1.0 - squares / variances) / variances
     scaled = sens / variances
     # einsum's own loops: faster here than a BLAS product on 3 x n arrays
-    score = np.einsum("it,t->i", sens, g)
-    information = 0.5 * np.einsum("it,jt->ij", scaled, scaled)
+    return np.einsum("it,t->i", sens, g), 0.5 * np.einsum("it,jt->ij", scaled, scaled)
 
-    persistence = params.alpha + params.beta
-    share, rest = _sigmoid(theta[2]), _sigmoid(-theta[2])
-    d_omega = params.omega if abs(theta[0]) < _LOG_OMEGA_BOUND else 0.0
-    d_persistence = (
-        _sigmoid(theta[1]) * _sigmoid(-theta[1]) if persistence < _MAX_PERSISTENCE else 0.0
-    )
-    d_share = persistence * share * rest
-    jacobian = np.array([[d_omega, 0.0, 0.0],
-                         [0.0, share * d_persistence, d_share],
-                         [0.0, rest * d_persistence, -d_share]])
-    return jacobian.T @ score, jacobian.T @ information @ jacobian
+
+def _free_directions(p: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the steps the fit may take from p.
+
+    A bound of the region is held when p is on it and the descent direction
+    -score points out through it; the columns span what the held bounds
+    leave free. At the persistence cap that is alpha traded against beta.
+    """
+    held = (_NORMALS @ p >= _LIMITS) & (_NORMALS @ score < 0.0)
+    return np.linalg.qr(_NORMALS[held].T, mode="complete")[0][:, np.count_nonzero(held):]
+
+
+def _project(p: np.ndarray) -> np.ndarray:
+    """The nearest point with omega / v0 >= its floor, alpha, beta >= 0 and alpha + beta <= cap."""
+    alpha, beta = max(p[1], 0.0), max(p[2], 0.0)
+    excess = alpha + beta - _MAX_PERSISTENCE
+    if excess > 0.0:
+        alpha = min(max(alpha - 0.5 * excess, 0.0), _MAX_PERSISTENCE)
+        beta = _MAX_PERSISTENCE - alpha
+    return np.array([max(p[0], _MIN_OMEGA_RATIO), alpha, beta])
 
 
 def fit(returns: ReturnSeries) -> GarchFit:
-    """Maximum-likelihood GARCH(1,1) fit by damped Fisher scoring.
+    """Maximum-likelihood GARCH(1,1) fit by projected, damped Fisher scoring.
 
-    The search runs on (log omega, logit persistence, logit share), which
-    maps onto the stationarity region. Each step solves
-    (A + lambda * diag A) step = -score, with A the expected information
-    (``_score_and_information``), by least squares because A is singular
-    where a clamp of ``_unpack`` is active (Levenberg-Marquardt damping,
-    Marquardt 1963). A step that does not raise the negative log-likelihood
-    is taken and lambda divided by 10, down to 1e-17; otherwise lambda is
-    multiplied by 10 and the step solved again. ``converged`` is True when
-    the largest |score| is at most 1e-5, or a taken step lowers the negative
-    log-likelihood by at most 1e-14 relative; it is False when lambda
-    reaches 1e16 without a step taken, or after 2000 steps. Start:
-    omega = 0.1 * sample variance, alpha = 0.05, beta = 0.90.
+    The search runs on p = (omega / v0, alpha, beta), v0 the sample variance
+    that starts the recursion, so p is of order one at any scale of returns.
+    Each step solves (A + lambda * diag A) step = -score by least squares,
+    with the score and expected information A restricted to the directions
+    ``_free_directions`` leaves free (Levenberg-Marquardt damping, Marquardt
+    1963); ``_project`` puts the trial back in the stationary region. A trial
+    that does not raise the negative log-likelihood is taken and lambda
+    divided by 10, down to 1e-17; otherwise lambda is multiplied by 10 and
+    the step solved again. ``converged`` is True when the largest free
+    |score| is at most 1e-5, or a taken step lowers the negative
+    log-likelihood by at most 1e-14 relative; it is False when lambda reaches
+    1e16 without a step taken, or after 2000 steps. Start: p = (0.1, 0.05, 0.9).
     """
     if len(returns) < MIN_FIT_LENGTH:
         raise ValueError(
@@ -269,25 +269,22 @@ def fit(returns: ReturnSeries) -> GarchFit:
         )
     if returns.stdev <= 0.0:
         raise ValueError("cannot fit a zero-variance return series")
-    start = GarchParams(omega=0.1 * returns.stdev**2, alpha=0.05, beta=0.90)
-    persistence = start.alpha + start.beta
-    theta = np.array(
-        [math.log(start.omega), _logit(persistence), _logit(start.alpha / persistence)]
-    )
-
     values = returns.values
     squares = values * values
     v0 = float(np.var(values, ddof=1))
-    nll, variances = _nll(theta, values, v0)
+    p = np.array([0.1, 0.05, 0.90])
+    nll, variances = _nll(p, values, v0)
     damping, converged = 1e-3, False
     for _ in range(MAX_FIT_ITERATIONS):
-        score, information = _score_and_information(theta, squares, variances)
-        if np.max(np.abs(score)) <= 1e-5:
+        score, information = _score_and_information(p, squares, variances)
+        free = _free_directions(p, score)
+        score, information = free.T @ score, free.T @ information @ free
+        if np.all(np.abs(score) <= 1e-5):
             converged = True
             break
         while damping < 1e16:
             damped = information + damping * np.diag(np.diag(information))
-            trial = theta + np.linalg.lstsq(damped, -score, rcond=None)[0]
+            trial = _project(p + free @ np.linalg.lstsq(damped, -score, rcond=None)[0])
             trial_nll, trial_variances = _nll(trial, values, v0)
             if trial_nll <= nll:
                 break
@@ -295,13 +292,13 @@ def fit(returns: ReturnSeries) -> GarchFit:
         else:
             break
         converged = nll - trial_nll <= 1e-14 * abs(nll)
-        theta, nll, variances = trial, trial_nll, trial_variances
+        p, nll, variances = trial, trial_nll, trial_variances
         # below 1e-17, A + damping * diag A rounds to A; a damping that
         # underflowed to 0 could never be raised again
         damping = max(damping / 10.0, 1e-17)
         if converged:
             break
-    return GarchFit(_unpack(theta), -nll, variances, converged)
+    return GarchFit(_params(p, v0), -nll, variances, converged)
 
 
 def filter_returns(returns: ReturnSeries, fitted: GarchFit) -> ReturnSeries:

@@ -28,6 +28,8 @@ _PLAIN = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
 _PACKED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes that np.loadtxt decompresses
 _INITIAL_PRICE = 100.0
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
+# logs of the normal floats, 2 in from either end: where a shifted price path must fit
+_LOG_PRICE_RANGE = (math.log(_TINY) + 2.0, math.log(float(np.finfo(float).max)) - 2.0)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -265,15 +267,25 @@ def compute_returns(prices: PriceSeries) -> ReturnSeries:
 
 
 def prices_from_returns(returns: ReturnSeries) -> PriceSeries:
-    """Invert ``compute_returns``: n+1 prices from 100, timestamps 0..n."""
+    """Invert ``compute_returns``: n+1 prices, timestamps 0..n.
+
+    The path starts at 100 when every price then is a normal float.
+    Otherwise it starts at the price that centres its logs in the normal
+    float range, 2 in from either end; a path wider than that range raises.
+    """
     log_prices = np.concatenate([[0.0], np.cumsum(returns.values)])
-    with np.errstate(over="ignore"):  # an overflow is reported below
+    with np.errstate(over="ignore"):  # a price out of range is handled below
         prices = _INITIAL_PRICE * np.exp(log_prices)
-    if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
-        raise ValueError(
-            "simulated prices exceed the floating-point range; "
-            "reduce n or the variance scale"
-        )
+    if not (np.all(np.isfinite(prices)) and np.all(prices >= _TINY)):
+        low, high = _LOG_PRICE_RANGE
+        lowest, highest = float(log_prices.min()), float(log_prices.max())
+        if not highest - lowest <= high - low:
+            raise ValueError(
+                "simulated prices exceed the floating-point range: the log prices "
+                f"span {highest - lowest:.1f}, more than {high - low:.1f}; "
+                "reduce n or the variance scale"
+            )
+        prices = np.exp(log_prices + 0.5 * (low + high - lowest - highest))
     return PriceSeries(timestamps=np.arange(len(prices)), prices=prices)
 
 

@@ -38,6 +38,8 @@ def test_simulate_row_count_and_manifest(tmp_path):
     assert manifest["command"] == "simulate"
     assert manifest["seeds"] == [2]
     assert manifest["config"]["n"] == 500
+    assert manifest["config"]["initial_price"] == 100.0
+    assert lines[1] == "0,100.0"
     assert set(manifest) == {"command", "version", "config", "seeds", "inputs"}
 
 
@@ -54,9 +56,24 @@ def test_simulate_failures_name_their_stage(tmp_path, capsys):
                  "--n", "100", "--seed", "1", "--out", out])
     assert code == 1
     assert "error: simulate: returns must be finite" in capsys.readouterr().err
-    # the README parameters overflow the price path for this seed
-    assert main(["simulate", *PARAMS, "--n", "200000", "--seed", "4", "--out", out]) == 1
-    assert "error: prices_from_returns: simulated prices exceed" in capsys.readouterr().err
+    # a unit variance of 1000 makes the log prices span more than the float range
+    wide = ["--omega", "50", "--alpha", "0.1", "--beta", "0.85"]
+    assert main(["simulate", *wide, "--n", "20000", "--seed", "1", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "error: prices_from_returns: simulated prices exceed the floating-point range" in err
+    assert "more than 1414.2" in err
+
+
+@pytest.mark.parametrize("seed", [4, 1_030_959_717])
+def test_simulate_keeps_a_path_that_leaves_the_range_from_100_exact(tmp_path, seed):
+    # from 100, seed 4 overflows and seed 1030959717 falls to subnormal prices
+    out = _simulate_csv(tmp_path, n=200_000, seed=seed)
+    prices = load_prices(out).prices
+    manifest = json.loads((tmp_path / "prices.csv.manifest.json").read_text())
+    assert manifest["config"]["initial_price"] == prices[0] != 100.0
+    assert prices.min() >= np.finfo(float).tiny
+    expected = simulate(GarchParams(omega=0.05, alpha=0.10, beta=0.85), 200_000, seed).values
+    assert np.max(np.abs(np.diff(np.log(prices)) - expected)) <= 1e-12
 
 
 def test_simulate_is_byte_deterministic(tmp_path):

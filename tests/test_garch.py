@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -235,8 +236,7 @@ def test_fit_ends_at_a_likelihood_maximum():
             assert evaluate(moved, series).log_likelihood <= fitted.log_likelihood + 1e-6
 
 
-def test_fit_evaluates_through_variance_path(monkeypatch):
-    # the benchmark's garch.fit_nfev counts variance_path calls inside fit
+def _counting_variance_path(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -244,116 +244,145 @@ def test_fit_evaluates_through_variance_path(monkeypatch):
         return variance_path(*args, **kwargs)
 
     monkeypatch.setattr(garch, "variance_path", counted)
+    return calls
+
+
+def test_fit_evaluates_through_variance_path(monkeypatch):
+    # the benchmark's garch.fit_nfev counts variance_path calls inside fit
+    calls = _counting_variance_path(monkeypatch)
     fit(simulate(TRUE, 20_000, 3))
     assert 3 <= len(calls) <= 60  # the start value, then one call per trial step
 
 
-def _theta(params: GarchParams) -> np.ndarray:
-    persistence = params.alpha + params.beta
-    return np.array(
-        [
-            math.log(params.omega),
-            math.log(persistence / (1.0 - persistence)),
-            math.log(params.alpha / params.beta),
-        ]
-    )
-
-
+CAP = garch._MAX_PERSISTENCE
+# p = (omega / v0, alpha, beta)
 SCORE_POINTS = [
-    _theta(TRUE),
-    _theta(GarchParams(omega=0.05, alpha=1e-4, beta=0.85)),  # share near 0
-    _theta(GarchParams(omega=0.001, alpha=0.10, beta=0.899)),  # persistence near 1
-    np.array([0.0, 40.0, -3.0]),  # persistence clamped at 1 - 1e-12
+    np.array([0.05, 0.10, 0.85]),
+    np.array([0.05, 0.0, 0.85]),  # alpha at its bound
+    np.array([0.001, 0.10, 0.899]),  # persistence near 1
+    np.array([0.001, 0.10, CAP - 0.10]),  # persistence at the cap
 ]
 
 
-@pytest.mark.parametrize("theta", SCORE_POINTS)
-def test_score_matches_central_differences(theta):
-    series = simulate(TRUE, 5_000, 3)
-    values = series.values
-    nll, variances = garch._nll(theta, values, np.var(values, ddof=1))
-    score, _ = garch._score_and_information(theta, values * values, variances)
-    assert nll == pytest.approx(-evaluate(garch._unpack(theta), series).log_likelihood, rel=1e-12)
+def _nll_through_the_bounds(p, values):
+    # the same recursion, free of GarchParams's checks, so that central
+    # differences can step across alpha = 0 and alpha + beta = cap
+    v0 = np.var(values, ddof=1)
+    variances = garch._affine_scan(v0, p[2], p[0] * v0 + p[1] * np.square(values[:-1]))
+    return -gaussian_log_likelihood(values, variances)
+
+
+@pytest.mark.parametrize("p", SCORE_POINTS)
+def test_score_matches_central_differences(p):
+    values = simulate(TRUE, 5_000, 3).values
+    nll, variances = garch._nll(p, values, np.var(values, ddof=1))
+    score, _ = garch._score_and_information(p, values * values, variances)
+    assert nll == pytest.approx(_nll_through_the_bounds(p, values), rel=1e-12)
     for i in range(3):
         step = np.zeros(3)
         step[i] = 1e-5
-        up = -evaluate(garch._unpack(theta + step), series).log_likelihood
-        down = -evaluate(garch._unpack(theta - step), series).log_likelihood
+        up = _nll_through_the_bounds(p + step, values)
+        down = _nll_through_the_bounds(p - step, values)
         central = (up - down) / 2e-5
         assert abs(score[i] - central) <= 1e-5 * abs(central)
 
 
-def _score_step_by_step(theta, values):
+def _score_step_by_step(p, values):
     # sigma^2 forwards and lambda_k = g_k + beta * lambda_{k+1} backwards, one
-    # step at a time, then the chain rule through _unpack
-    params = garch._unpack(theta)
+    # step at a time; omega = p[0] * v0, so d nll / d p[0] = v0 * d nll / d omega
+    v0 = float(np.var(values, ddof=1))
+    omega, alpha, beta = p[0] * v0, p[1], p[2]
     r = values.tolist()
-    v = [float(np.var(values, ddof=1))]
+    v = [v0]
     for t in range(1, len(r)):
-        v.append(params.omega + params.alpha * r[t - 1] ** 2 + params.beta * v[-1])
+        v.append(omega + alpha * r[t - 1] ** 2 + beta * v[-1])
     lam, acc = [0.0] * len(r), 0.0
     for k in range(len(r) - 1, 0, -1):
-        acc = 0.5 * (1.0 - r[k] ** 2 / v[k]) / v[k] + params.beta * acc
+        acc = 0.5 * (1.0 - r[k] ** 2 / v[k]) / v[k] + beta * acc
         lam[k] = acc
-    d_omega = math.fsum(lam[1:])
-    d_alpha = math.fsum(lam[k] * r[k - 1] ** 2 for k in range(1, len(r)))
-    d_beta = math.fsum(lam[k] * v[k - 1] for k in range(1, len(r)))
-    persistence, share = params.alpha + params.beta, garch._sigmoid(theta[2])
-    clamped = persistence >= garch._MAX_PERSISTENCE
-    d_logit = 0.0 if clamped else garch._sigmoid(theta[1]) * garch._sigmoid(-theta[1])
     return np.array([
-        params.omega * d_omega,
-        d_logit * (share * d_alpha + (1.0 - share) * d_beta),
-        persistence * share * garch._sigmoid(-theta[2]) * (d_alpha - d_beta),
+        v0 * math.fsum(lam[1:]),
+        math.fsum(lam[k] * r[k - 1] ** 2 for k in range(1, len(r))),
+        math.fsum(lam[k] * v[k - 1] for k in range(1, len(r))),
     ])
 
 
-@pytest.mark.parametrize("theta", SCORE_POINTS)
-def test_score_matches_step_by_step_adjoint(theta):
+@pytest.mark.parametrize("p", SCORE_POINTS)
+def test_score_matches_step_by_step_adjoint(p):
     values = simulate(TRUE, 5_000, 3).values
-    _, variances = garch._nll(theta, values, np.var(values, ddof=1))
-    score, _ = garch._score_and_information(theta, values * values, variances)
-    expected = _score_step_by_step(theta, values)
+    _, variances = garch._nll(p, values, np.var(values, ddof=1))
+    score, _ = garch._score_and_information(p, values * values, variances)
+    expected = _score_step_by_step(p, values)
     assert np.all(np.abs(score - expected) <= 1e-12 * np.abs(expected))
 
 
-def _information_step_by_step(theta, values):
-    # D_t = (1, r^2_{t-1}, sigma^2_{t-1}) + beta * D_{t-1} from D_0 = 0 one step
-    # at a time, 1/2 sum D_t D_t^T / sigma^4_t, then the Jacobian of _unpack
-    params = garch._unpack(theta)
+def _information_step_by_step(p, values):
+    # D_t = (v0, r^2_{t-1}, sigma^2_{t-1}) + beta * D_{t-1} from D_0 = 0 one
+    # step at a time, then 1/2 sum D_t D_t^T / sigma^4_t
+    v0 = float(np.var(values, ddof=1))
+    omega, alpha, beta = p[0] * v0, p[1], p[2]
     r = values.tolist()
-    v, d = [float(np.var(values, ddof=1))], [(0.0, 0.0, 0.0)]
+    v, d = [v0], [(0.0, 0.0, 0.0)]
     for t in range(1, len(r)):
-        v.append(params.omega + params.alpha * r[t - 1] ** 2 + params.beta * v[-1])
-        d.append(tuple(x + params.beta * y for x, y in zip((1.0, r[t - 1] ** 2, v[t - 1]), d[-1])))
+        v.append(omega + alpha * r[t - 1] ** 2 + beta * v[-1])
+        d.append(tuple(x + beta * y for x, y in zip((v0, r[t - 1] ** 2, v[t - 1]), d[-1])))
     information = np.array([
         [0.5 * math.fsum(dt[i] * dt[j] / vt**2 for dt, vt in zip(d, v)) for j in range(3)]
         for i in range(3)
     ])
-    persistence, share = params.alpha + params.beta, garch._sigmoid(theta[2])
-    clamped = persistence >= garch._MAX_PERSISTENCE
-    d_logit = 0.0 if clamped else garch._sigmoid(theta[1]) * garch._sigmoid(-theta[1])
-    d_share = persistence * share * garch._sigmoid(-theta[2])
-    jacobian = np.array([
-        [params.omega, 0.0, 0.0],
-        [0.0, share * d_logit, d_share],
-        [0.0, (1.0 - share) * d_logit, -d_share],
-    ])
-    return np.array(d).T, jacobian.T @ information @ jacobian
+    return np.array(d).T, information
 
 
-@pytest.mark.parametrize("theta", SCORE_POINTS)
-def test_information_matches_step_by_step_sensitivities(theta):
+@pytest.mark.parametrize("p", SCORE_POINTS)
+def test_information_matches_step_by_step_sensitivities(p):
     values = simulate(TRUE, 5_000, 3).values
-    _, variances = garch._nll(theta, values, np.var(values, ddof=1))
-    sens = garch._sensitivities(garch._unpack(theta).beta, values * values, variances)
-    _, information = garch._score_and_information(theta, values * values, variances)
-    expected_sens, expected = _information_step_by_step(theta, values)
+    _, variances = garch._nll(p, values, np.var(values, ddof=1))
+    sens = garch._sensitivities(p[2], values * values, variances)
+    _, information = garch._score_and_information(p, values * values, variances)
+    expected_sens, expected = _information_step_by_step(p, values)
     assert sens.shape == expected_sens.shape
     assert np.all(np.abs(sens - expected_sens) <= 1e-12 * np.abs(expected_sens))
-    # exact zeros where a clamp is active: the information is singular there
     assert np.all(np.abs(information - expected) <= 1e-12 * np.abs(expected))
-    assert np.all(np.abs(information - information.T) <= 1e-14 * np.abs(information))
+    assert np.array_equal(information, information.T)
+
+
+def test_fit_leaves_the_iid_ridge_quickly(monkeypatch):
+    # on this seed the likelihood is flat along alpha = 0, where a search
+    # that cannot hold alpha at its bound crawls for hundreds of steps
+    calls = _counting_variance_path(monkeypatch)
+    fitted = fit(iid_gaussian(50_000, 1.0, 26))
+    assert fitted.converged
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+def test_fit_does_not_depend_on_the_scale_of_the_returns(scale):
+    values = simulate(TRUE, 50_000, 4).values
+    unscaled = fit(ReturnSeries.from_values(values)).params
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fitted = fit(ReturnSeries.from_values(values * scale))
+    assert fitted.converged
+    assert fitted.params.alpha == pytest.approx(unscaled.alpha, rel=1e-6)
+    assert fitted.params.beta == pytest.approx(unscaled.beta, rel=1e-6)
+    assert fitted.params.omega == pytest.approx(unscaled.omega * scale**2, rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "params",
+    [GarchParams(omega=1e-4, alpha=0.10, beta=0.8999),
+     GarchParams(omega=1e-6, alpha=0.05, beta=0.94999999)],
+    ids=["persistence-0.9999", "persistence-1-1e-8"],
+)
+def test_fit_near_integrated_ends_at_a_maximum_along_the_persistence(params, seed):
+    series = simulate(params, 50_000, seed)
+    fitted = fit(series)
+    assert fitted.converged
+    alpha, beta = fitted.params.alpha, fitted.params.beta
+    for shift in (0.01 * alpha, -0.01 * alpha):
+        traded = replace(fitted.params, alpha=alpha + shift, beta=beta - shift)
+        assert evaluate(traded, series).log_likelihood <= fitted.log_likelihood + 1e-6
 
 
 def test_garch_filter_experiment_runs_without_scipy(tmp_path):

@@ -230,10 +230,11 @@ def test_compute_returns_inverts_exponentiated_cumsum():
 
 
 def test_prices_from_returns_reports_overflow_without_warning():
-    returns = ReturnSeries.from_values([800.0, 1.0])
+    returns = ReturnSeries.from_values([1500.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="exceed the floating-point range"):
+        with pytest.raises(ValueError, match="exceed the floating-point range: the log "
+                                             "prices span 1501.0, more than 1414.2"):
             prices_from_returns(returns)
 
 
