@@ -5,7 +5,8 @@ fitted conditional stdev (``garch-filter``), seed by seed, with medians.
 The surrogate kind symbolizes each raw series once. Its transformed series
 is the raw series' symbols permuted by ``shuffle_symbols``, with the draws
 that ``shuffle`` would apply to the returns, so it keeps the raw series'
-bins rather than re-deriving them from a shuffled copy.
+bins rather than re-deriving them from a shuffled copy. Memory holds one seed's
+series at a time: each seed runs in one call, which frees them before the next.
 """
 
 from __future__ import annotations
@@ -22,6 +23,33 @@ KINDS = ("surrogate", "garch-filter")
 SHUFFLE_SEED_OFFSET = 2**32
 
 
+def _run_seed(kind: str, params: GarchParams, n: int, seed: int, config: AnalysisConfig,
+              not_converged: list[int]) -> dict:
+    """One seed's ``experiment.json`` row; the seed joins ``not_converged`` if its fit
+    does not converge. All it made is freed on return: buffers kept alive would split
+    the heap holes the next ``simulate`` reuses, making peak memory depend on the layout.
+    """
+    raw = _run_stage("simulate", simulate, params, n, seed)
+    symbols = symbolize_returns(raw, config)
+    raw_result = analyze_symbols(symbols, config)
+    if kind == "surrogate":
+        shuffle_seed = (seed + SHUFFLE_SEED_OFFSET) % 2**64
+        shuffled = _run_stage("shuffle", shuffle_symbols, symbols, shuffle_seed)
+        transformed_result = analyze_symbols(shuffled, config)
+    else:
+        del symbols  # not held through the fit
+        fitted = _run_stage("fit", fit, raw)
+        if not fitted.converged:
+            not_converged.append(int(seed))
+        transformed = _run_stage("filter_returns", filter_returns, raw, fitted)
+        transformed_result = analyze(transformed, config)
+    return {
+        "seed": int(seed),
+        "dvc_raw": {"p": raw_result.dvc_p, "n": raw_result.dvc_n},
+        "dvc_transformed": {"p": transformed_result.dvc_p, "n": transformed_result.dvc_n},
+    }
+
+
 def run_experiment(
     kind: str, params: GarchParams, n: int, seeds: list[int], config: AnalysisConfig
 ) -> tuple[dict, list[int]]:
@@ -35,38 +63,9 @@ def run_experiment(
     rows, failures, not_converged = [], [], []
     for seed in seeds:
         try:
-            raw = _run_stage("simulate", simulate, params, n, seed)
-            symbols = symbolize_returns(raw, config)
-            raw_result = analyze_symbols(symbols, config)
-            if kind == "surrogate":
-                shuffle_seed = (seed + SHUFFLE_SEED_OFFSET) % 2**64
-                shuffled = _run_stage("shuffle", shuffle_symbols, symbols, shuffle_seed)
-                transformed_result = analyze_symbols(shuffled, config)
-            else:
-                symbols = None  # not held through the fit
-                fitted = _run_stage("fit", fit, raw)
-                if not fitted.converged:
-                    not_converged.append(int(seed))
-                transformed = _run_stage("filter_returns", filter_returns, raw, fitted)
-                transformed_result = analyze(transformed, config)
-            rows.append(
-                {
-                    "seed": int(seed),
-                    "dvc_raw": {"p": raw_result.dvc_p, "n": raw_result.dvc_n},
-                    "dvc_transformed": {
-                        "p": transformed_result.dvc_p,
-                        "n": transformed_result.dvc_n,
-                    },
-                }
-            )
+            rows.append(_run_seed(kind, params, n, seed, config, not_converged))
         except ValueError as exc:
             failures.append({"seed": int(seed), "error": str(exc)})
-        # drop this seed's series before the next one is simulated, so that
-        # memory holds one seed's series at a time, not two; its results go
-        # too, as their small buffers would split the heap's holes that
-        # simulate reuses, and peak memory would then depend on the layout
-        raw = symbols = shuffled = fitted = transformed = None
-        raw_result = transformed_result = None
 
     def _median(group: str, side: str, absolute: bool) -> float:
         values = (row[group][side] for row in rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ingest import ReturnSeries, _frozen_array
+from .ingest import _TINY, ReturnSeries, _frozen_array
 from .surrogate import generator
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -270,8 +270,10 @@ def fit(returns: ReturnSeries) -> GarchFit:
     if returns.stdev <= 0.0:
         raise ValueError("cannot fit a zero-variance return series")
     values = returns.values
-    squares = values * values
     v0 = float(np.var(values, ddof=1))
+    if v0 < _TINY:
+        raise ValueError("cannot fit returns whose variance is below the smallest normal float")
+    squares = values * values
     p = np.array([0.1, 0.05, 0.90])
     nll, variances = _nll(p, values, v0)
     damping, converged = 1e-3, False

@@ -61,8 +61,9 @@ class PriceSeries:
         base = timestamps
         while isinstance(base, np.ndarray) and not base.flags.writeable:
             base = base.base
-        if base is not None:
-            # it, or an array or buffer it views, can still be written: keep a copy
+        if base is not None or timestamps.base is None:
+            # it, or an array or buffer it views, can still be written, or it owns
+            # its data, so whoever holds it can make it writable again: keep a copy
             timestamps = timestamps.copy()
         timestamps.setflags(write=False)
         object.__setattr__(self, "timestamps", timestamps)

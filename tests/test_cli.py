@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from volclust import experiment
 from volclust.cli import main
 from volclust.dvc import AnalysisConfig, analyze
 from volclust.experiment import run_experiment
@@ -342,6 +344,53 @@ def test_run_experiment_shuffles_the_largest_seed():
                                 [2**64 - 1], AnalysisConfig())
     assert payload["failures"] == []
     assert [row["seed"] for row in payload["rows"]] == [2**64 - 1]
+
+
+@pytest.mark.parametrize("kind, fit_fails", [("surrogate", False), ("garch-filter", False),
+                                             ("garch-filter", True)])
+def test_run_experiment_frees_each_seed_before_simulating_the_next(monkeypatch, kind, fit_fails):
+    # a seed's objects kept into the next simulate would split the heap holes
+    # it reuses, and peak memory would then depend on the heap layout
+    made, alive_at_simulate = [], []
+
+    def watch(name):
+        original = getattr(experiment, name)
+
+        def watched(*args):
+            if name == "simulate":
+                alive_at_simulate.append([type(r()).__name__ for r in made if r() is not None])
+            if name == "fit" and fit_fails and len(alive_at_simulate) == 2:
+                raise ValueError("no fit")
+            result = original(*args)
+            made.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(experiment, name, watched)
+
+    for name in ("simulate", "symbolize_returns", "analyze_symbols", "shuffle_symbols", "fit",
+                 "filter_returns", "analyze"):
+        watch(name)
+    payload, _ = run_experiment(kind, GarchParams(0.05, 0.1, 0.85), 5000, [1, 2, 3],
+                                AnalysisConfig())
+    assert alive_at_simulate == [[], [], []]
+    assert len(made) == 3 * (5 if kind == "surrogate" else 6) - 3 * fit_fails
+    assert [f["seed"] for f in payload["failures"]] == ([2] if fit_fails else [])
+    assert all(r() is None for r in made)
+
+
+def test_run_experiment_flags_an_unconverged_fit_whose_seed_then_fails(monkeypatch):
+    def unconverged_fit(returns):
+        return replace(evaluate(GarchParams(0.05, 0.10, 0.85), returns), converged=False)
+
+    def failing_filter(returns, fitted):
+        raise ValueError("no filter")
+
+    monkeypatch.setattr(experiment, "fit", unconverged_fit)
+    monkeypatch.setattr(experiment, "filter_returns", failing_filter)
+    payload, not_converged = run_experiment("garch-filter", GarchParams(0.05, 0.1, 0.85), 5000,
+                                            [1], AnalysisConfig())
+    assert not_converged == [1]
+    assert payload["failures"] == [{"seed": 1, "error": "filter_returns: no filter"}]
 
 
 # --- report ---------------------------------------------------------------------

@@ -355,7 +355,7 @@ def test_fit_leaves_the_iid_ridge_quickly(monkeypatch):
     assert len(calls) <= 100
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+@pytest.mark.parametrize("scale", [1e-153, 1e-150, 1e-100, 1e100, 1e150])
 def test_fit_does_not_depend_on_the_scale_of_the_returns(scale):
     values = simulate(TRUE, 50_000, 4).values
     unscaled = fit(ReturnSeries.from_values(values)).params
@@ -417,6 +417,16 @@ def test_fit_is_deterministic():
 def test_fit_rejects_short_series():
     with pytest.raises(ValueError, match="at least 500"):
         fit(iid_gaussian(499, 1.0, 1))
+
+
+@pytest.mark.parametrize("scale", [1e-154, 1e-155, 1e-160, 1e-170, 1e-200])
+def test_fit_names_a_variance_below_the_smallest_normal_float(scale):
+    # the squared returns would underflow, so the fit would fail on a nan or zero omega
+    series = ReturnSeries.from_values(simulate(TRUE, 50_000, 4).values * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="variance is below the smallest normal float"):
+            fit(series)
 
 
 def test_fit_rejects_zero_variance_series():

@@ -558,10 +558,13 @@ def test_price_series_timestamps_ignore_later_writes_by_the_caller():
     stamps = np.arange(3)
     read_only_view = stamps[:]
     read_only_view.setflags(write=False)
-    for given in (stamps, read_only_view):
+    read_only = np.arange(3)
+    read_only.setflags(write=False)
+    for given, owner in ((stamps, stamps), (read_only_view, stamps), (read_only, read_only)):
         series = PriceSeries(given, [1.0, 2.0, 3.0])
-        stamps[0] = 5
+        owner.setflags(write=True)
+        owner[0] = 5
         assert series.timestamps.tolist() == [0, 1, 2]
-        stamps[0] = 0
+        owner[0] = 0
     # nothing else can write np.loadtxt's table, so the columnar reader's timestamps view it
     assert load_prices(b"timestamp,price\n1,1.0\n2,2.0\n").timestamps.base is not None
