@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -65,12 +66,13 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _manifest(command: str, config: dict, seeds: list[int], inputs: list) -> dict:
+    """``inputs`` holds a (path, sha256 digest) pair for each input file."""
     return {
         "command": command,
         "version": __version__,
         "config": config,
         "seeds": [int(s) for s in seeds],
-        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
+        "inputs": [{"path": str(p), "sha256": digest} for p, digest in inputs],
     }
 
 
@@ -122,8 +124,16 @@ def _resolve_config(args) -> AnalysisConfig:
 def cmd_analyze(args) -> int:
     config = _run_stage("config", _resolve_config, args)
     prices = _run_stage("load_prices", load_prices, args.input)
-    returns = _run_stage("compute_returns", compute_returns, prices)
-    result = analyze(returns, config)
+    # hashed on a thread only after load_prices, which reads in one process while
+    # another thread runs; file reads and hashlib release the GIL
+    digest = {}
+    hasher = threading.Thread(target=lambda: digest.update(sha256=_sha256(args.input)))
+    hasher.start()
+    try:
+        returns = _run_stage("compute_returns", compute_returns, prices)
+        result = analyze(returns, config)
+    finally:
+        hasher.join()
 
     def write(out: Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
@@ -131,7 +141,7 @@ def cmd_analyze(args) -> int:
         _write_csv(out / "profile.csv", PROFILE_COLUMNS, result.profile.rows())
         _write_json(
             out / "manifest.json",
-            _manifest("analyze", config.to_json_dict(), [], [args.input]),
+            _manifest("analyze", config.to_json_dict(), [], [(args.input, digest["sha256"])]),
         )
 
     out = Path(args.out)
@@ -220,7 +230,8 @@ def cmd_report(args) -> int:
     def write(out: Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "report.csv", REPORT_COLUMNS, rows)
-        _write_json(out / "manifest.json", _manifest("report", {}, [], list(args.inputs)))
+        inputs = [(path, _sha256(path)) for path in args.inputs]
+        _write_json(out / "manifest.json", _manifest("report", {}, [], inputs))
 
     _run_stage("write_outputs", write, Path(args.out))
 

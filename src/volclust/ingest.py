@@ -4,16 +4,23 @@ The input format is a UTF-8 CSV with header ``timestamp,price``, one tick
 per line. Timestamps are opaque ordering keys: an integer column becomes an
 int64 array (object beyond int64) ordered numerically, any other a str array
 ordered lexically; time deltas play no role. A plain ASCII file is parsed by
-numpy's C reader in one call, and any other file row by row. Only a regular
-file named by its path is read in chunks; from any other source numpy's
-reader still makes one Python ``str`` per line.
+numpy's C reader and any other file row by row. Only a regular file named by
+its path is read in chunks, and then by two processes: a forked child parses
+the lines after a split point while this one parses those before it. From
+any other source numpy's reader parses in one call and still makes one
+Python ``str`` per line.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
+import mmap
+import os
+import signal
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Union
@@ -26,6 +33,8 @@ _COMMA, _NEWLINE = ord(","), ord("\n")
 # the bytes of a file the columnar reader may take: printable ASCII but the quote, CR, LF
 _PLAIN = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
 _PACKED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes that np.loadtxt decompresses
+# the share of a file's body the parent parses; the child skips those lines before parsing
+_PARENT_SHARE = 0.58
 _INITIAL_PRICE = 100.0
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 # logs of the normal floats, 2 in from either end: where a shifted price path must fit
@@ -54,20 +63,24 @@ class PriceSeries:
     prices: np.ndarray
 
     def __post_init__(self):
-        timestamps = np.asarray(self.timestamps)
+        timestamps = np.array(self.timestamps)  # a copy, so no caller can write it later
         if timestamps.dtype.kind == "f" and all(isinstance(t, int) for t in self.timestamps):
             # Python ints no one integer dtype holds, such as -1 with 2**63: keep them exact
             timestamps = np.array(self.timestamps, dtype=object)
-        base = timestamps
-        while isinstance(base, np.ndarray) and not base.flags.writeable:
-            base = base.base
-        if base is not None or timestamps.base is None:
-            # it, or an array or buffer it views, can still be written, or it owns
-            # its data, so whoever holds it can make it writable again: keep a copy
-            timestamps = timestamps.copy()
+        self._set(timestamps, self.prices)
+
+    @classmethod
+    def _of_table(cls, table: np.ndarray) -> "PriceSeries":
+        """The series of a read-only ``t``, ``p`` table that the caller hands over and
+        no one else holds, the columnar reader's: its timestamps view the table."""
+        series = object.__new__(cls)
+        series._set(table["t"], table["p"])
+        return series
+
+    def _set(self, timestamps: np.ndarray, prices) -> None:
         timestamps.setflags(write=False)
         object.__setattr__(self, "timestamps", timestamps)
-        object.__setattr__(self, "prices", _frozen_array(self.prices, float))
+        object.__setattr__(self, "prices", _frozen_array(prices, float))
         if len(self.timestamps) != len(self.prices):
             raise ValueError("timestamps and prices have different lengths")
         if len(self.prices) < 2:
@@ -165,11 +178,12 @@ def load_prices(source: Source) -> PriceSeries:
 
 
 def _read_columns(data: bytes, path: str | Path | None = None) -> PriceSeries:
-    """Read a plain ASCII CSV in one ``np.loadtxt`` call. It accepts only input that
+    """Read a plain ASCII CSV with numpy's C reader. It accepts only input that
     ``_read_rows`` accepts, with the same result, and raises ValueError for the rest.
     ``path`` is the file ``data`` came from, if any. Only a regular file's path lets
-    numpy read in chunks, with no Python object per row; bytes, file objects, FIFOs
-    and compressed names reach it through a text wrapper, one ``str`` per line."""
+    numpy read in chunks, with no Python object per row, and ``_read_split`` then
+    parses it in two processes; bytes, file objects, FIFOs and compressed names reach
+    numpy in one call, through a text wrapper, one ``str`` per line."""
     header_end = data.find(b"\n")
     first_comma = data.find(b",", header_end)
     header = [name.strip() for name in data[: header_end + 1].split(b",")]
@@ -181,6 +195,7 @@ def _read_columns(data: bytes, path: str | Path | None = None) -> PriceSeries:
     sizes = np.diff(at, prepend=-1, append=len(body)) - 1
     if sizes.max() >= csv.field_size_limit():
         raise ValueError("a field at csv's size limit")
+    commas = body[at] == _COMMA
     try:
         int(data[header_end + 1 : first_comma])
         ts_dtype = "i8"
@@ -190,14 +205,69 @@ def _read_columns(data: bytes, path: str | Path | None = None) -> PriceSeries:
                 data.find(pad, header_end) >= 0 for pad in (b" ,", b"\n ")):
             raise ValueError("padded string timestamps") from None
         # a U field without a width reads as "", and one too narrow truncates
-        ts_dtype = f"U{sizes[:-1][body[at] == _COMMA].max()}"
+        ts_dtype = f"U{sizes[:-1][commas].max()}"
+    dtype = np.dtype([("t", ts_dtype), ("p", "f8")])
     # loadtxt reads a regular file again, in chunks, but would unpack one named *.gz and the like
-    reread = path is not None and Path(path).is_file() and Path(path).suffix not in _PACKED
-    source = path if reread else io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
-    table = np.loadtxt(source, dtype=[("t", ts_dtype), ("p", "f8")], delimiter=",",
-                       comments=None, skiprows=1, ndmin=1, encoding="utf-8")
-    table.setflags(write=False)  # PriceSeries then keeps a view of it, with no copy
-    return PriceSeries(timestamps=table["t"], prices=table["p"])
+    if path is not None and Path(path).is_file() and Path(path).suffix not in _PACKED:
+        table = _read_split(path, dtype, body, at[~commas])
+    else:
+        table = _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"), dtype)
+    table.setflags(write=False)
+    return PriceSeries._of_table(table)
+
+
+def _loadtxt(source, dtype: np.dtype, skiprows: int = 0, max_rows: int | None = None):
+    """The data rows of ``source`` after its header and ``skiprows`` more lines."""
+    return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, skiprows=1 + skiprows,
+                      max_rows=max_rows, ndmin=1, encoding="utf-8")
+
+
+def _read_split(path: str | Path, dtype: np.dtype, body: np.ndarray,
+                newlines: np.ndarray) -> np.ndarray:
+    """Parse the file at ``path``, whose body is ``body`` with LFs at ``newlines``,
+    in two processes. The parent parses the lines up to a split point and a
+    forked child the lines after it, each into its rows of one shared table.
+    The child's exit status says whether it wrote one row for each of its
+    lines. Either side's failure, or a row count other than the line count,
+    raises ValueError. One call parses it all where ``os.fork`` is missing or
+    fails, where another thread runs (a forked child could deadlock on a lock
+    that thread holds), and where a line is blank: ``max_rows`` does not count
+    a blank line, and numpy warns about it."""
+    lines = len(newlines) + int(body[-1] != _NEWLINE)
+    # a blank line, LF or CRLF, ends 1 or 2 bytes after the previous one; so does a
+    # line of one byte, which holds no row and fails in either way of parsing
+    if (lines < 2 or np.diff(newlines, prepend=-1).min() <= 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return _loadtxt(path, dtype)
+    split = int(np.clip(np.searchsorted(newlines, _PARENT_SHARE * len(body)), 1, lines - 1))
+    table = np.frombuffer(mmap.mmap(-1, lines * dtype.itemsize), dtype)  # shared with the child
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare, or no memory for one
+        return _loadtxt(path, dtype)
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()  # the parent's garbage is its own to finalize
+            tail = _loadtxt(path, dtype, skiprows=split)
+            if len(tail) == lines - split:
+                table[split:] = tail
+                status = 0
+        finally:
+            os._exit(status)
+    try:
+        head = _loadtxt(path, dtype, max_rows=split)
+        if len(head) != split:
+            raise ValueError("the parent did not read one row per line")
+        table[:split] = head
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # its rows are of no use once this side fails
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise ValueError("the child did not read one row per line")
+    return table
 
 
 def _read_rows(text: str) -> PriceSeries:

@@ -1,6 +1,8 @@
 import io
 import math
+import os
 import statistics
+import threading
 import warnings
 
 import numpy as np
@@ -560,7 +562,10 @@ def test_price_series_timestamps_ignore_later_writes_by_the_caller():
     read_only_view.setflags(write=False)
     read_only = np.arange(3)
     read_only.setflags(write=False)
-    for given, owner in ((stamps, stamps), (read_only_view, stamps), (read_only, read_only)):
+    read_only_owner = np.arange(3)
+    read_only_owner.setflags(write=False)
+    for given, owner in ((stamps, stamps), (read_only_view, stamps), (read_only, read_only),
+                         (read_only_owner[:], read_only_owner)):
         series = PriceSeries(given, [1.0, 2.0, 3.0])
         owner.setflags(write=True)
         owner[0] = 5
@@ -568,3 +573,86 @@ def test_price_series_timestamps_ignore_later_writes_by_the_caller():
         owner[0] = 0
     # nothing else can write np.loadtxt's table, so the columnar reader's timestamps view it
     assert load_prices(b"timestamp,price\n1,1.0\n2,2.0\n").timestamps.base is not None
+
+
+# --- the columnar reader in two processes ----------------------------------------
+
+
+def _write_rows(path, count, bad_row=None, bad_line=""):
+    """A file of ``count`` rows; row ``bad_row`` (0-based), if given, is ``bad_line``."""
+    rows = [f"{i},{1.0 + i % 7}" for i in range(count)]
+    if bad_row is not None:
+        rows[bad_row] = bad_line
+    path.write_text("timestamp,price\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bad_row", [100, 4900], ids=["parent's lines", "child's lines"])
+@pytest.mark.parametrize("bad_line", ["{i},x", "{i},1.0,2.0", "{i}", "{i},-1.0"])
+def test_split_reader_failure_gives_the_row_loops_message(bad_row, bad_line, tmp_path):
+    path = _write_rows(tmp_path / "prices.csv", 5000, bad_row, bad_line.format(i=bad_row))
+    with pytest.raises(ValueError) as loaded:
+        load_prices(path)
+    with pytest.raises(ValueError) as looped:
+        ingest._read_rows(path.read_text())
+    assert str(loaded.value) == str(looped.value)
+    assert str(loaded.value).startswith(f"line {bad_row + 2}:")
+    _assert_no_child_left()
+
+
+def test_split_reader_forks_once_and_leaves_no_child(tmp_path, monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    series = load_prices(_write_rows(tmp_path / "prices.csv", 5000))
+    assert forks == [1]
+    assert series.timestamps.tolist() == list(range(5000))
+    # the timestamps view the table the two processes wrote, with no copy
+    assert series.timestamps.base is not None and not series.timestamps.flags.writeable
+    _assert_no_child_left()
+    # a file of two rows is split too
+    two = tmp_path / "two.csv"
+    two.write_bytes(b"timestamp,price\n1,1.0\n2,2.0")
+    assert load_prices(two).timestamps.tolist() == [1, 2]
+    assert forks == [1, 1]
+    _assert_no_child_left()
+
+
+def _no_fork():
+    raise AssertionError("the reader forked")
+
+
+def _fork_fails():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("reason", ["thread", "no fork", "fork fails", "blank line"])
+def test_reader_parses_in_one_call_where_it_may_not_fork(reason, tmp_path, monkeypatch):
+    path = _write_rows(tmp_path / "prices.csv", 5000)
+    expected = load_prices(path)
+    monkeypatch.setattr(ingest, "_read_rows", _no_row_loop)
+    if reason == "blank line":
+        path.write_bytes(path.read_bytes().replace(b"\n4000,", b"\n\n4000,"))
+    if reason == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif reason == "fork fails":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    else:
+        monkeypatch.setattr(os, "fork", _no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(10,))
+    if reason == "thread":
+        thread.start()
+    try:
+        series = load_prices(path)
+    finally:
+        stop.set()
+        if reason == "thread":
+            thread.join(10)
+    assert not thread.is_alive()
+    assert series.timestamps.tolist() == expected.timestamps.tolist()
+    assert series.prices.tobytes() == expected.prices.tobytes()
