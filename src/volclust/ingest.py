@@ -5,10 +5,11 @@ per line. Timestamps are opaque ordering keys: an integer column becomes an
 int64 array (object beyond int64) ordered numerically, any other a str array
 ordered lexically; time deltas play no role. A plain ASCII file is parsed by
 numpy's C reader and any other file row by row. Only a regular file named by
-its path is read in chunks, and then by two processes: a forked child parses
-the lines after a split point while this one parses those before it. From
-any other source numpy's reader parses in one call and still makes one
-Python ``str`` per line.
+its path is read in chunks. One of 2 MiB or more, read by a process that may
+run on two or more CPUs, is read by two processes: a forked child parses the
+lines after a split point while this one parses those before it. From any
+other source numpy's reader parses in one call and still makes one Python
+``str`` per line.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ _PLAIN = bytes(range(32, 127)).replace(b'"', b"") + b"\r\n"
 _PACKED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes that np.loadtxt decompresses
 # the share of a file's body the parent parses; the child skips those lines before parsing
 _PARENT_SHARE = 0.58
+# the smallest body worth a fork: on a 2-vCPU VM a fork and wait cost about 1.7 ms,
+# and the two processes first save that much on a body of about 1 MB
+_SPLIT_MIN_BYTES = 1 << 21
 _INITIAL_PRICE = 100.0
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 # logs of the normal floats, 2 in from either end: where a shifted price path must fit
@@ -182,8 +186,8 @@ def _read_columns(data: bytes, path: str | Path | None = None) -> PriceSeries:
     ``_read_rows`` accepts, with the same result, and raises ValueError for the rest.
     ``path`` is the file ``data`` came from, if any. Only a regular file's path lets
     numpy read in chunks, with no Python object per row, and ``_read_split`` then
-    parses it in two processes; bytes, file objects, FIFOs and compressed names reach
-    numpy in one call, through a text wrapper, one ``str`` per line."""
+    parses a large one in two processes; bytes, file objects, FIFOs and compressed
+    names reach numpy in one call, through a text wrapper, one ``str`` per line."""
     header_end = data.find(b"\n")
     first_comma = data.find(b",", header_end)
     header = [name.strip() for name in data[: header_end + 1].split(b",")]
@@ -195,7 +199,6 @@ def _read_columns(data: bytes, path: str | Path | None = None) -> PriceSeries:
     sizes = np.diff(at, prepend=-1, append=len(body)) - 1
     if sizes.max() >= csv.field_size_limit():
         raise ValueError("a field at csv's size limit")
-    commas = body[at] == _COMMA
     try:
         int(data[header_end + 1 : first_comma])
         ts_dtype = "i8"
@@ -205,11 +208,11 @@ def _read_columns(data: bytes, path: str | Path | None = None) -> PriceSeries:
                 data.find(pad, header_end) >= 0 for pad in (b" ,", b"\n ")):
             raise ValueError("padded string timestamps") from None
         # a U field without a width reads as "", and one too narrow truncates
-        ts_dtype = f"U{sizes[:-1][commas].max()}"
+        ts_dtype = f"U{sizes[:-1][body[at] == _COMMA].max()}"
     dtype = np.dtype([("t", ts_dtype), ("p", "f8")])
     # loadtxt reads a regular file again, in chunks, but would unpack one named *.gz and the like
     if path is not None and Path(path).is_file() and Path(path).suffix not in _PACKED:
-        table = _read_split(path, dtype, body, at[~commas])
+        table = _read_split(path, dtype, body, at)
     else:
         table = _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"), dtype)
     table.setflags(write=False)
@@ -223,24 +226,29 @@ def _loadtxt(source, dtype: np.dtype, skiprows: int = 0, max_rows: int | None = 
 
 
 def _read_split(path: str | Path, dtype: np.dtype, body: np.ndarray,
-                newlines: np.ndarray) -> np.ndarray:
-    """Parse the file at ``path``, whose body is ``body`` with LFs at ``newlines``,
-    in two processes. The parent parses the lines up to a split point and a
+                at: np.ndarray) -> np.ndarray:
+    """Parse the file at ``path``, whose body is ``body`` with commas and LFs at
+    ``at``, in two processes. The parent parses the lines up to a split point and a
     forked child the lines after it, each into its rows of one shared table.
     The child's exit status says whether it wrote one row for each of its
     lines. Either side's failure, or a row count other than the line count,
-    raises ValueError. One call parses it all where ``os.fork`` is missing or
-    fails, where another thread runs (a forked child could deadlock on a lock
-    that thread holds), and where a line is blank: ``max_rows`` does not count
-    a blank line, and numpy warns about it."""
+    raises ValueError. One call parses it all where the body is under
+    ``_SPLIT_MIN_BYTES``, where this process may run on one CPU only, where
+    ``os.fork`` is missing or fails, where another thread runs (a forked child
+    could deadlock on a lock that thread holds), and where a line is blank:
+    ``max_rows`` does not count a blank line, and numpy warns about it."""
+    if (len(body) < _SPLIT_MIN_BYTES or _cpus() < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return _loadtxt(path, dtype)
+    newlines = at[body[at] == _NEWLINE]
     lines = len(newlines) + int(body[-1] != _NEWLINE)
     # a blank line, LF or CRLF, ends 1 or 2 bytes after the previous one; so does a
     # line of one byte, which holds no row and fails in either way of parsing
-    if (lines < 2 or np.diff(newlines, prepend=-1).min() <= 2 or not hasattr(os, "fork")
-            or threading.active_count() > 1):
+    if lines < 2 or np.diff(newlines, prepend=-1).min() <= 2:
         return _loadtxt(path, dtype)
     split = int(np.clip(np.searchsorted(newlines, _PARENT_SHARE * len(body)), 1, lines - 1))
-    table = np.frombuffer(mmap.mmap(-1, lines * dtype.itemsize), dtype)  # shared with the child
+    shared = mmap.mmap(-1, lines * dtype.itemsize)
+    table = np.frombuffer(shared, dtype)
     try:
         pid = os.fork()
     except OSError:  # no process to spare, or no memory for one
@@ -267,7 +275,15 @@ def _read_split(path: str | Path, dtype: np.dtype, body: np.ndarray,
         _, status = os.waitpid(pid, 0)
     if status != 0:
         raise ValueError("the child did not read one row per line")
-    return table
+    # the same memory, through a buffer that no view of it can make writable again
+    return np.frombuffer(memoryview(shared).toreadonly(), dtype)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _read_rows(text: str) -> PriceSeries:

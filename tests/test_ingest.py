@@ -21,6 +21,18 @@ from volclust.ingest import (
     standardize,
 )
 
+_SPLIT_MIN_BYTES, _CPUS = ingest._SPLIT_MIN_BYTES, ingest._cpus
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _split_every_file():
+    """Read every file of two or more lines in two processes, however small and
+    whatever the CPU count, so that each reader test here runs through the split."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_SPLIT_MIN_BYTES", 0)
+        patch.setattr(ingest, "_cpus", lambda: 2)
+        yield
+
 
 def test_load_minimal_csv():
     series = load_prices(b"timestamp,price\n1,100.0\n2,101.0\n")
@@ -611,8 +623,10 @@ def test_split_reader_forks_once_and_leaves_no_child(tmp_path, monkeypatch):
     series = load_prices(_write_rows(tmp_path / "prices.csv", 5000))
     assert forks == [1]
     assert series.timestamps.tolist() == list(range(5000))
-    # the timestamps view the table the two processes wrote, with no copy
+    # the timestamps view the table the two processes wrote, with no copy, and stay read-only
     assert series.timestamps.base is not None and not series.timestamps.flags.writeable
+    with pytest.raises(ValueError):
+        series.timestamps.setflags(write=True)
     _assert_no_child_left()
     # a file of two rows is split too
     two = tmp_path / "two.csv"
@@ -630,13 +644,21 @@ def _fork_fails():
     raise OSError(11, "Resource temporarily unavailable")
 
 
-@pytest.mark.parametrize("reason", ["thread", "no fork", "fork fails", "blank line"])
+@pytest.mark.parametrize(
+    "reason", ["thread", "no fork", "fork fails", "blank line", "small file", "one CPU"])
 def test_reader_parses_in_one_call_where_it_may_not_fork(reason, tmp_path, monkeypatch):
     path = _write_rows(tmp_path / "prices.csv", 5000)
     expected = load_prices(path)
     monkeypatch.setattr(ingest, "_read_rows", _no_row_loop)
     if reason == "blank line":
         path.write_bytes(path.read_bytes().replace(b"\n4000,", b"\n\n4000,"))
+    elif reason == "small file":
+        monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", _SPLIT_MIN_BYTES)
+        assert path.stat().st_size < _SPLIT_MIN_BYTES
+    elif reason == "one CPU":
+        monkeypatch.setattr(ingest, "_cpus", _CPUS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
     if reason == "no fork":
         monkeypatch.delattr(os, "fork")
     elif reason == "fork fails":
@@ -656,3 +678,5 @@ def test_reader_parses_in_one_call_where_it_may_not_fork(reason, tmp_path, monke
     assert not thread.is_alive()
     assert series.timestamps.tolist() == expected.timestamps.tolist()
     assert series.prices.tobytes() == expected.prices.tobytes()
+    with pytest.raises(ValueError):
+        series.timestamps.setflags(write=True)
