@@ -5,9 +5,11 @@ per line. Timestamps are opaque ordering keys: an integer column becomes an
 int64 array (object beyond int64) ordered numerically, any other a str array
 ordered lexically; time deltas play no role. A plain ASCII file is parsed by
 numpy's C reader and any other file row by row. Only a regular file named by
-its path is read in chunks. One of 2 MiB or more, read by a process that may
-run on two or more CPUs, is read by two processes: a forked child parses the
-lines after a split point while this one parses those before it. From any
+its path is read in chunks. One of 2 MiB or more is read by two processes
+where ``_fork_share`` may fork: a forked child parses the lines after a split
+point while this one parses those before it. ``_fork_share`` holds the fork
+policy that ``experiment.run_experiment`` shares: two or more CPUs, by the
+affinity mask and any cgroup quota, and one thread. From any
 other source numpy's reader parses in one call and still makes one Python
 ``str`` per line.
 """
@@ -24,7 +26,7 @@ import signal
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Callable, Union
 
 import numpy as np
 
@@ -39,6 +41,7 @@ _PARENT_SHARE = 0.58
 # the smallest body worth a fork: on a 2-vCPU VM a fork and wait cost about 1.7 ms,
 # and the two processes first save that much on a body of about 1 MB
 _SPLIT_MIN_BYTES = 1 << 21
+_CGROUP = Path("/sys/fs/cgroup")  # where _cpus looks for a CPU quota
 _INITIAL_PRICE = 100.0
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 # logs of the normal floats, 2 in from either end: where a shifted price path must fit
@@ -228,17 +231,14 @@ def _loadtxt(source, dtype: np.dtype, skiprows: int = 0, max_rows: int | None = 
 def _read_split(path: str | Path, dtype: np.dtype, body: np.ndarray,
                 at: np.ndarray) -> np.ndarray:
     """Parse the file at ``path``, whose body is ``body`` with commas and LFs at
-    ``at``, in two processes. The parent parses the lines up to a split point and a
-    forked child the lines after it, each into its rows of one shared table.
-    The child's exit status says whether it wrote one row for each of its
-    lines. Either side's failure, or a row count other than the line count,
-    raises ValueError. One call parses it all where the body is under
-    ``_SPLIT_MIN_BYTES``, where this process may run on one CPU only, where
-    ``os.fork`` is missing or fails, where another thread runs (a forked child
-    could deadlock on a lock that thread holds), and where a line is blank:
-    ``max_rows`` does not count a blank line, and numpy warns about it."""
-    if (len(body) < _SPLIT_MIN_BYTES or _cpus() < 2 or not hasattr(os, "fork")
-            or threading.active_count() > 1):
+    ``at``, in two processes through ``_fork_share``. The parent parses the lines
+    up to a split point and the child the lines after it, each into its rows of
+    one shared table. Either side's failure, or a row count other than the line
+    count, raises ValueError. One call parses it all where the body is under
+    ``_SPLIT_MIN_BYTES``, where a line is blank (``max_rows`` does not count a
+    blank line, and numpy warns about it) and where ``_fork_share`` does not fork;
+    ``_may_fork`` is asked first, so that no split is prepared where it would not."""
+    if len(body) < _SPLIT_MIN_BYTES or not _may_fork():
         return _loadtxt(path, dtype)
     newlines = at[body[at] == _NEWLINE]
     lines = len(newlines) + int(body[-1] != _NEWLINE)
@@ -249,41 +249,109 @@ def _read_split(path: str | Path, dtype: np.dtype, body: np.ndarray,
     split = int(np.clip(np.searchsorted(newlines, _PARENT_SHARE * len(body)), 1, lines - 1))
     shared = mmap.mmap(-1, lines * dtype.itemsize)
     table = np.frombuffer(shared, dtype)
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare, or no memory for one
-        return _loadtxt(path, dtype)
-    if pid == 0:
-        status = 1
-        try:
-            gc.disable()  # the parent's garbage is its own to finalize
-            tail = _loadtxt(path, dtype, skiprows=split)
-            if len(tail) == lines - split:
-                table[split:] = tail
-                status = 0
-        finally:
-            os._exit(status)
-    try:
+
+    def child() -> bytes:
+        tail = _loadtxt(path, dtype, skiprows=split)
+        if len(tail) != lines - split:
+            raise ValueError("the child did not read one row per line")
+        table[split:] = tail
+        return b""
+
+    def parent() -> None:
         head = _loadtxt(path, dtype, max_rows=split)
         if len(head) != split:
             raise ValueError("the parent did not read one row per line")
         table[:split] = head
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)  # its rows are of no use once this side fails
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
+
+    forked = _fork_share(child, parent)
+    if forked is None:
+        return _loadtxt(path, dtype)
+    if forked[1] is None:
         raise ValueError("the child did not read one row per line")
     # the same memory, through a buffer that no view of it can make writable again
     return np.frombuffer(memoryview(shared).toreadonly(), dtype)
 
 
+def _fork_share(child_share: Callable[[], bytes],
+                parent_share: Callable[[], object]) -> tuple[object, bytes | None] | None:
+    """Run ``child_share`` in a forked child while this process runs ``parent_share``.
+
+    Returns what ``parent_share`` returned with the bytes ``child_share``
+    returned, which come through a pipe, or with None in their place where the
+    child ended otherwise: by an exception, a signal or an exit of its own.
+    Returns None, having run neither share, where ``_may_fork`` says no and
+    where the pipe or the fork raises OSError. The child runs without the cyclic
+    garbage collector, as the parent's garbage is the parent's to finalize, and
+    ends in ``os._exit``, so it runs no exit handler and flushes no buffer it
+    inherited. A ``parent_share`` that raises kills the child; either way the
+    child is reaped before this returns.
+    """
+    if not _may_fork():
+        return None
+    ends = ()
+    try:
+        ends = read_end, write_end = os.pipe()
+        pid = os.fork()
+    except OSError:  # no descriptor or process to spare, or no memory for one
+        for end in ends:
+            os.close(end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(child_share())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            mine = parent_share()
+            theirs = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # its share is of no use once this one fails
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return mine, theirs if status == 0 else None
+
+
+def _may_fork() -> bool:
+    """Whether ``os.fork`` is there, this process may run on two or more CPUs, and
+    no other thread runs: a forked child could deadlock on a lock that thread holds."""
+    return hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1
+
+
 def _cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on: its affinity mask, capped
+    by a cgroup CPU quota if one is set."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
+
+
+def _cpu_quota() -> int | None:
+    """The whole CPUs, at least 1, that a quota under ``_CGROUP`` grants: cgroup
+    v2's ``cpu.max``, else cgroup v1's CFS quota and period. None where neither
+    file is there, where the quota reads ``max`` or ``-1``, or where it does not parse."""
+    try:
+        try:
+            quota, period = (_CGROUP / "cpu.max").read_text().split()
+        except FileNotFoundError:
+            quota, period = ((_CGROUP / "cpu" / name).read_text()
+                             for name in ("cpu.cfs_quota_us", "cpu.cfs_period_us"))
+        quota = quota.strip()
+        if quota in ("max", "-1"):
+            return None
+        return max(1, int(quota) // int(period))
+    except (OSError, ValueError, ZeroDivisionError):
+        return None
 
 
 def _read_rows(text: str) -> PriceSeries:

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -11,13 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volclust import experiment
+from volclust import experiment, ingest
 from volclust.cli import main
 from volclust.dvc import AnalysisConfig, analyze
 from volclust.experiment import run_experiment
 from volclust.garch import GarchParams, evaluate, simulate
 from volclust.ingest import PriceSeries, compute_returns, load_prices
 
+_CPUS = ingest._cpus
 PARAMS = ["--omega", "0.05", "--alpha", "0.10", "--beta", "0.85"]
 
 
@@ -346,20 +349,41 @@ def test_run_experiment_shuffles_the_largest_seed():
     assert [row["seed"] for row in payload["rows"]] == [2**64 - 1]
 
 
+def _count_forks(monkeypatch, cpus):
+    """Patch the CPU count that ``_fork_share`` sees; the returned list gets one
+    item for each ``os.fork`` call."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(ingest, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("path", ["one CPU", "forked"])
 @pytest.mark.parametrize("kind, fit_fails", [("surrogate", False), ("garch-filter", False),
                                              ("garch-filter", True)])
-def test_run_experiment_frees_each_seed_before_simulating_the_next(monkeypatch, kind, fit_fails):
+def test_run_experiment_frees_each_seed_before_simulating_the_next(monkeypatch, kind, fit_fails,
+                                                                  path):
     # a seed's objects kept into the next simulate would split the heap holes
     # it reuses, and peak memory would then depend on the heap layout
-    made, alive_at_simulate = [], []
+    made, alive_at_simulate, simulated = [], [], []
+    forks = _count_forks(monkeypatch, 1 if path == "one CPU" else 2)
 
     def watch(name):
         original = getattr(experiment, name)
 
         def watched(*args):
             if name == "simulate":
-                alive_at_simulate.append([type(r()).__name__ for r in made if r() is not None])
-            if name == "fit" and fit_fails and len(alive_at_simulate) == 2:
+                alive = [type(r()).__name__ for r in made if r() is not None]
+                alive_at_simulate.append(alive)
+                if alive:  # raised in the forked child too, which hands it to the parent
+                    raise AssertionError(f"seed {args[2]} simulated while {alive} live")
+                simulated.append(args[2])
+            if name == "fit" and fit_fails and simulated[-1] == 2:
                 raise ValueError("no fit")
             result = original(*args)
             made.append(weakref.ref(result))
@@ -370,12 +394,125 @@ def test_run_experiment_frees_each_seed_before_simulating_the_next(monkeypatch, 
     for name in ("simulate", "symbolize_returns", "analyze_symbols", "shuffle_symbols", "fit",
                  "filter_returns", "analyze"):
         watch(name)
-    payload, _ = run_experiment(kind, GarchParams(0.05, 0.1, 0.85), 5000, [1, 2, 3],
+    # the forked child runs seeds 2 and 4, so it too simulates after a seed of its own
+    seeds = [1, 2, 3] if path == "one CPU" else [1, 2, 3, 4]
+    payload, _ = run_experiment(kind, GarchParams(0.05, 0.1, 0.85), 5000, seeds,
                                 AnalysisConfig())
-    assert alive_at_simulate == [[], [], []]
-    assert len(made) == 3 * (5 if kind == "surrogate" else 6) - 3 * fit_fails
+    # this process sees only its own seeds
+    assert forks == ([] if path == "one CPU" else [1])
+    assert alive_at_simulate == ([[], [], []] if path == "one CPU" else [[], []])
+    here_failed = fit_fails and path == "one CPU"
+    assert len(made) == len(simulated) * (5 if kind == "surrogate" else 6) - 3 * here_failed
     assert [f["seed"] for f in payload["failures"]] == ([2] if fit_fails else [])
     assert all(r() is None for r in made)
+    _assert_no_child_left()
+
+
+def _experiment_with_faults(monkeypatch, kind, seeds):
+    """``run_experiment`` where seed 2's fit raises ValueError and seed 4's fit
+    does not converge; both are in the forked child's share."""
+    simulated, original_simulate, original_fit = [], experiment.simulate, experiment.fit
+
+    def simulate(params, n, seed):
+        simulated.append(seed)
+        return original_simulate(params, n, seed)
+
+    def fit(returns):
+        if simulated[-1] == 2:
+            raise ValueError("no fit")
+        fitted = original_fit(returns)
+        return replace(fitted, converged=False) if simulated[-1] == 4 else fitted
+
+    monkeypatch.setattr(experiment, "simulate", simulate)
+    monkeypatch.setattr(experiment, "fit", fit)
+    return run_experiment(kind, GarchParams(0.05, 0.1, 0.85), 5000, seeds, AnalysisConfig())
+
+
+@pytest.mark.parametrize("kind", ["surrogate", "garch-filter"])
+def test_run_experiment_forked_and_in_one_process_give_equal_payloads(kind, monkeypatch):
+    seeds = [1, 2, 3, 4, 5]
+    forks = _count_forks(monkeypatch, 1)
+    alone = _experiment_with_faults(monkeypatch, kind, seeds)
+    assert forks == []
+    forks = _count_forks(monkeypatch, 2)
+    forked = _experiment_with_faults(monkeypatch, kind, seeds)
+    assert forks == [1]
+    assert json.dumps(forked) == json.dumps(alone)
+    payload, not_converged = forked
+    if kind == "garch-filter":
+        assert payload["failures"] == [{"seed": 2, "error": "fit: no fit"}]
+        assert not_converged == [4]
+        assert [row["seed"] for row in payload["rows"]] == [1, 3, 4, 5]
+    else:
+        assert (payload["failures"], not_converged) == ([], [])
+        assert [row["seed"] for row in payload["rows"]] == seeds
+    _assert_no_child_left()
+
+
+def _fork_fails():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("reason", ["one CPU", "thread", "no fork", "fork fails", "one seed"])
+def test_run_experiment_runs_in_one_process_where_it_may_not_fork(reason, monkeypatch):
+    seeds = [7] if reason == "one seed" else [7, 8, 9]
+    params, config = GarchParams(0.05, 0.1, 0.85), AnalysisConfig()
+    expected = run_experiment("garch-filter", params, 5000, seeds, config)
+    forks = _count_forks(monkeypatch, 2)
+    if reason == "one CPU":
+        monkeypatch.setattr(ingest, "_cpus", _CPUS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    if reason == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif reason == "fork fails":
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _fork_fails())
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(10,))
+    if reason == "thread":
+        thread.start()
+    try:
+        result = run_experiment("garch-filter", params, 5000, seeds, config)
+    finally:
+        stop.set()
+        if reason == "thread":
+            thread.join(10)
+    assert not thread.is_alive()
+    assert forks == ([1] if reason == "fork fails" else [])
+    assert json.dumps(result) == json.dumps(expected)
+
+
+def test_run_experiment_raises_when_the_forked_child_dies(monkeypatch):
+    parent, run_seed = os.getpid(), experiment._run_seed
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return run_seed(*args)
+
+    _count_forks(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "_run_seed", dying)
+    with pytest.raises(RuntimeError, match="ended without its results"):
+        run_experiment("surrogate", GarchParams(0.05, 0.1, 0.85), 5000, [1, 2], AnalysisConfig())
+    _assert_no_child_left()
+
+
+def test_run_experiment_kills_and_reaps_the_child_when_its_own_share_fails(monkeypatch):
+    parent = os.getpid()
+
+    def failing(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("the parent's share failed")
+        time.sleep(60)  # only the parent's SIGKILL ends this in time
+
+    forks = _count_forks(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "_run_seed", failing)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="the parent's share failed"):
+        run_experiment("surrogate", GarchParams(0.05, 0.1, 0.85), 5000, [1, 2], AnalysisConfig())
+    assert forks == [1]
+    assert time.monotonic() - started < 30
+    _assert_no_child_left()
 
 
 def test_run_experiment_flags_an_unconverged_fit_whose_seed_then_fails(monkeypatch):

@@ -680,3 +680,27 @@ def test_reader_parses_in_one_call_where_it_may_not_fork(reason, tmp_path, monke
     assert series.prices.tobytes() == expected.prices.tobytes()
     with pytest.raises(ValueError):
         series.timestamps.setflags(write=True)
+
+
+@pytest.mark.parametrize("files, quota", [
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"cpu.max": "250000 100000\n"}, 2),
+    ({"cpu.max": "50000 100000\n"}, 1),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+    ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    ({"cpu/cpu.cfs_quota_us": "300000\n"}, None),
+    ({"cpu.max": "lots\n"}, None),
+    ({}, None),
+], ids=["v2 max", "v2 2.5", "v2 0.5", "v1 -1", "v1 3", "v1 no period", "v2 garbled", "none"])
+def test_cpus_counts_a_cgroup_quota(files, quota, tmp_path, monkeypatch):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(ingest, "_CGROUP", tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert ingest._cpu_quota() == quota
+    assert _CPUS() == (4 if quota is None else quota)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert _CPUS() == 1
