@@ -7,11 +7,13 @@ ordered lexically; time deltas play no role. A plain ASCII file is parsed by
 numpy's C reader and any other file row by row. Only a regular file named by
 its path is read in chunks. One of 2 MiB or more is read by two processes
 where ``_fork_share`` may fork: a forked child parses the lines after a split
-point while this one parses those before it. ``_fork_share`` holds the fork
-policy that ``experiment.run_experiment`` shares: two or more CPUs, by the
-affinity mask and any cgroup quota, and one thread. From any
-other source numpy's reader parses in one call and still makes one Python
-``str`` per line.
+point while this one parses those before it. From any other source numpy's
+reader parses in one call and still makes one Python ``str`` per line.
+``PriceSeries.write_csv`` writes a series of ``_WRITE_SPLIT_MIN_ROWS`` rows or
+more in two processes too: a forked child formats the second half of the rows.
+``_fork_share`` holds the fork policy that its three users share, this reader,
+``experiment.run_experiment`` and ``PriceSeries.write_csv``: two or more CPUs,
+by the affinity mask and any cgroup quota, and one thread.
 """
 
 from __future__ import annotations
@@ -41,11 +43,18 @@ _PARENT_SHARE = 0.58
 # the smallest body worth a fork: on a 2-vCPU VM a fork and wait cost about 1.7 ms,
 # and the two processes first save that much on a body of about 1 MB
 _SPLIT_MIN_BYTES = 1 << 21
+# the fewest rows worth a fork in write_csv: on a 2-vCPU VM, in three series of 10
+# alternating trials, the fork won 9 or 10 of 10 at 2**15 rows (40-69 -> 26-40 ms),
+# the smallest power of two where it always did; 8 or 9 at 2**14, 5 to 9 at 2**13
+_WRITE_SPLIT_MIN_ROWS = 1 << 15
 _CGROUP = Path("/sys/fs/cgroup")  # where _cpus looks for a CPU quota
 _INITIAL_PRICE = 100.0
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
-# logs of the normal floats, 2 in from either end: where a shifted price path must fit
-_LOG_PRICE_RANGE = (math.log(_TINY) + 2.0, math.log(float(np.finfo(float).max)) - 2.0)
+# Where a shifted price path must fit: the logs of the normal floats, whose exp
+# stays finite and normal, 2**-41 in from either end. prices_from_returns's span
+# check and shift round numbers below 2048 by at most 2**-43 each, which moves a
+# shifted log price less than 2**-41 past the centred span.
+_LOG_PRICE_RANGE = (math.log(_TINY) + 2.0**-41, math.log(float(np.finfo(float).max)) - 2.0**-41)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -104,11 +113,38 @@ class PriceSeries:
         return len(self.prices)
 
     def write_csv(self, path: str | Path) -> None:
-        """Write ``timestamp,price`` CSV with full-precision prices."""
+        """Write ``timestamp,price`` CSV with full-precision prices.
+
+        A series of ``_WRITE_SPLIT_MIN_ROWS`` rows or more is formatted in two
+        processes where ``_fork_share`` forks: a forked child formats the second
+        half of the rows in this writer's csv dialect while this process writes
+        the first half, and the child's text follows it in the file. A child that
+        ends without its text raises ValueError."""
+
+        def rows(start: int, stop: int):
+            return zip(self.timestamps[start:stop].tolist(),
+                       map(repr, self.prices[start:stop].tolist()))
+
+        n = len(self)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["timestamp", "price"])
-            writer.writerows(zip(self.timestamps.tolist(), map(repr, self.prices.tolist())))
+
+            def child() -> bytes:
+                text = io.StringIO(newline="")
+                csv.writer(text, writer.dialect).writerows(rows(n // 2, n))
+                return text.getvalue().encode("utf-8")
+
+            forked = (_fork_share(child, lambda: writer.writerows(rows(0, n // 2)))
+                      if n >= _WRITE_SPLIT_MIN_ROWS else None)
+            if forked is None:
+                writer.writerows(rows(0, n))
+            elif forked[1] is None:
+                raise ValueError("the process formatting the second half of the rows "
+                                 "ended without them")
+            else:
+                fh.flush()
+                fh.buffer.write(forked[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +462,7 @@ def prices_from_returns(returns: ReturnSeries) -> PriceSeries:
 
     The path starts at 100 when every price then is a normal float.
     Otherwise it starts at the price that centres its logs in the normal
-    float range, 2 in from either end; a path wider than that range raises.
+    float range, 2**-41 in from either end; a path wider than that range raises.
     """
     log_prices = np.concatenate([[0.0], np.cumsum(returns.values)])
     with np.errstate(over="ignore"):  # a price out of range is handled below

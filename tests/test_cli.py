@@ -66,7 +66,7 @@ def test_simulate_failures_name_their_stage(tmp_path, capsys):
     assert main(["simulate", *wide, "--n", "20000", "--seed", "1", "--out", out]) == 1
     err = capsys.readouterr().err
     assert "error: prices_from_returns: simulated prices exceed the floating-point range" in err
-    assert "more than 1414.2" in err
+    assert "more than 1418.2" in err
 
 
 @pytest.mark.parametrize("seed", [4, 1_030_959_717])
@@ -85,6 +85,17 @@ def test_simulate_is_byte_deterministic(tmp_path):
     a = _simulate_csv(tmp_path, n=1_000, seed=3, name="a.csv")
     b = _simulate_csv(tmp_path, n=1_000, seed=3, name="b.csv")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_forks_once_to_write_its_prices(tmp_path, monkeypatch):
+    forks = _count_forks(monkeypatch, 2)
+    forked = _simulate_csv(tmp_path, n=200_000, name="forked.csv")
+    assert forks == [1]
+    _assert_no_child_left()
+    monkeypatch.setattr(ingest, "_cpus", lambda: 1)
+    one = _simulate_csv(tmp_path, n=200_000, name="one.csv")
+    assert forks == [1]
+    assert forked.read_bytes() == one.read_bytes()
 
 
 # --- analyze ------------------------------------------------------------------

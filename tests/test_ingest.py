@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import os
@@ -22,14 +23,17 @@ from volclust.ingest import (
 )
 
 _SPLIT_MIN_BYTES, _CPUS = ingest._SPLIT_MIN_BYTES, ingest._cpus
+_WRITE_SPLIT_MIN_ROWS = ingest._WRITE_SPLIT_MIN_ROWS
 
 
 @pytest.fixture(autouse=True, scope="module")
 def _split_every_file():
-    """Read every file of two or more lines in two processes, however small and
-    whatever the CPU count, so that each reader test here runs through the split."""
+    """Read and write every file of two or more rows in two processes, however
+    small and whatever the CPU count, so that each reader and writer test here
+    runs through the split."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_SPLIT_MIN_BYTES", 0)
+        patch.setattr(ingest, "_WRITE_SPLIT_MIN_ROWS", 0)
         patch.setattr(ingest, "_cpus", lambda: 2)
         yield
 
@@ -248,8 +252,41 @@ def test_prices_from_returns_reports_overflow_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="exceed the floating-point range: the log "
-                                             "prices span 1501.0, more than 1414.2"):
+                                             "prices span 1501.0, more than 1418.2"):
             prices_from_returns(returns)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
+def test_prices_from_returns_takes_the_widest_span_and_no_wider(sign):
+    low, high = ingest._LOG_PRICE_RANGE
+    log_tiny, log_max = math.log(ingest._TINY), math.log(float(np.finfo(float).max))
+    # the margins keep the logs of the normal floats, the last whose exp is in range
+    assert (low - 2.0**-41, high + 2.0**-41) == (log_tiny, log_max)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.exp(log_max)) and np.exp(np.nextafter(log_max, np.inf)) == np.inf
+    assert np.exp(log_tiny) >= ingest._TINY > np.exp(np.nextafter(log_tiny, -np.inf))
+    span = high - low
+    prices = prices_from_returns(ReturnSeries.from_values([sign * span])).prices
+    assert np.all(np.isfinite(prices)) and prices.min() >= ingest._TINY
+    assert prices.min() < 1e-307 and prices.max() > 1e307
+    wider = ReturnSeries.from_values([sign * np.nextafter(span, np.inf)])
+    with pytest.raises(ValueError, match="more than 1418.2"):
+        prices_from_returns(wider)
+
+
+@given(st.floats(0.0, 1.0))
+def test_prices_from_returns_keeps_every_path_it_takes_normal(share):
+    """A path of the widest span, split at ``share`` below the start, rounds in
+    the shift; its prices still come out finite and normal."""
+    low, high = ingest._LOG_PRICE_RANGE
+    returns = ReturnSeries.from_values([-share * (high - low), high - low])
+    log_prices = np.cumsum([0.0, *returns.values])
+    if log_prices.max() - log_prices.min() > high - low:
+        with pytest.raises(ValueError, match="exceed the floating-point range"):
+            prices_from_returns(returns)
+    else:
+        prices = prices_from_returns(returns).prices
+        assert np.all(np.isfinite(prices)) and prices.min() >= ingest._TINY
 
 
 def test_return_series_caches_match_recomputation():
@@ -604,6 +641,13 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _count_forks(monkeypatch):
+    """The returned list gets one item for each ``os.fork`` call."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
 @pytest.mark.parametrize("bad_row", [100, 4900], ids=["parent's lines", "child's lines"])
 @pytest.mark.parametrize("bad_line", ["{i},x", "{i},1.0,2.0", "{i}", "{i},-1.0"])
 def test_split_reader_failure_gives_the_row_loops_message(bad_row, bad_line, tmp_path):
@@ -618,8 +662,7 @@ def test_split_reader_failure_gives_the_row_loops_message(bad_row, bad_line, tmp
 
 
 def test_split_reader_forks_once_and_leaves_no_child(tmp_path, monkeypatch):
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = _count_forks(monkeypatch)
     series = load_prices(_write_rows(tmp_path / "prices.csv", 5000))
     assert forks == [1]
     assert series.timestamps.tolist() == list(range(5000))
@@ -680,6 +723,96 @@ def test_reader_parses_in_one_call_where_it_may_not_fork(reason, tmp_path, monke
     assert series.prices.tobytes() == expected.prices.tobytes()
     with pytest.raises(ValueError):
         series.timestamps.setflags(write=True)
+
+
+# --- the writer in two processes -------------------------------------------------
+
+
+def _one_process_bytes(series, path):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_cpus", lambda: 1)
+        series.write_csv(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("timestamps", [
+    np.arange(2),
+    np.arange(3),
+    np.arange(1001),
+    np.array([10**20 + i for i in range(5)], dtype=object),
+    np.array(['a"2', "a,1", "a,2", "b", "c"]),
+    np.array(["2024-01-01T00:00:00Z", "é,1", 'ü"2', "ü3", "€"]),
+], ids=["n=2", "n=3", "n=1001", "beyond-int64", "quoted", "non-ASCII"])
+def test_forked_writer_writes_the_bytes_of_one_process(timestamps, tmp_path, monkeypatch):
+    prices = np.exp(np.random.default_rng(7).normal(0.0, 0.1, len(timestamps)).cumsum())
+    series = PriceSeries(timestamps, prices)
+    forks = _count_forks(monkeypatch)
+    path = tmp_path / "forked.csv"
+    series.write_csv(path)
+    assert forks == [1]
+    _assert_no_child_left()
+    assert path.read_bytes() == _one_process_bytes(series, tmp_path / "one.csv")
+    assert forks == [1]
+    back = load_prices(path)
+    assert back.timestamps.tolist() == timestamps.tolist()
+    assert back.prices.tobytes() == series.prices.tobytes()
+
+
+def test_writer_forks_from_its_gate_up(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_WRITE_SPLIT_MIN_ROWS", _WRITE_SPLIT_MIN_ROWS)
+    forks = _count_forks(monkeypatch)
+    for rows, expected in ((_WRITE_SPLIT_MIN_ROWS - 1, []), (_WRITE_SPLIT_MIN_ROWS, [1])):
+        series = PriceSeries(np.arange(rows), np.linspace(1.0, 2.0, rows))
+        path = tmp_path / f"{rows}.csv"
+        series.write_csv(path)
+        assert forks == expected
+        assert path.read_bytes() == _one_process_bytes(series, tmp_path / "one.csv")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("reason", ["one CPU", "thread", "no fork", "fork fails"])
+def test_writer_writes_in_one_process_where_it_may_not_fork(reason, tmp_path, monkeypatch):
+    series = PriceSeries(np.arange(5000), np.linspace(1.0, 2.0, 5000))
+    expected = _one_process_bytes(series, tmp_path / "expected.csv")
+    forks = _count_forks(monkeypatch)
+    if reason == "one CPU":
+        monkeypatch.setattr(ingest, "_cpus", _CPUS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    elif reason == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif reason == "fork fails":
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _fork_fails())
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(10,))
+    if reason == "thread":
+        thread.start()
+    try:
+        series.write_csv(tmp_path / "prices.csv")
+    finally:
+        stop.set()
+        if reason == "thread":
+            thread.join(10)
+    assert not thread.is_alive()
+    assert forks == ([1] if reason == "fork fails" else [])
+    assert (tmp_path / "prices.csv").read_bytes() == expected
+    _assert_no_child_left()
+
+
+def test_writer_raises_when_the_forked_child_dies(tmp_path, monkeypatch):
+    parent, writer = os.getpid(), csv.writer
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return writer(*args)
+
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(csv, "writer", dying)
+    with pytest.raises(ValueError, match="ended without them"):
+        PriceSeries(np.arange(100), np.ones(100)).write_csv(tmp_path / "prices.csv")
+    assert forks == [1]
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("files, quota", [
